@@ -171,7 +171,6 @@ def _cmd_batch(args) -> int:
             seed=args.seed,
         )
         print(f"partition:         {decomposition.partition.summary()}")
-    items = items_from_decomposition(decomposition, canonicalize=not args.no_canonicalize)
     cache = PatternCache(max_entries=0) if args.no_cache else PatternCache()
     config = default_config(args.device, mesh_dim)
     if args.device == "gpu":
@@ -188,30 +187,35 @@ def _cmd_batch(args) -> int:
             signature_mode=args.signature,
             union_fill_cap=args.union_fill_cap,
         )
-    if args.trace or args.metrics_out:
-        from repro.obs import tracing, write_metrics
 
-        with tracing() as tracer:
-            batch = engine.assemble_batch(
-                items,
-                execute=not args.estimate_only,
-                execution=args.execution,
-                n_workers=None if args.workers == 0 else args.workers,
-            )
-        if args.trace:
-            path = batch.trace.save(args.trace)
-            print(f"[trace written to {path}]")
-        if args.metrics_out:
-            path = write_metrics(args.metrics_out, tracer.metrics)
-            print(f"[metrics written to {path}]")
-        print(batch.trace.render(max_depth=3))
-    else:
-        batch = engine.assemble_batch(
+    def bridge_and_assemble():
+        items = items_from_decomposition(
+            decomposition, canonicalize=not args.no_canonicalize
+        )
+        return engine.assemble_batch(
             items,
             execute=not args.estimate_only,
             execution=args.execution,
             n_workers=None if args.workers == 0 else args.workers,
         )
+
+    if args.trace or args.metrics_out:
+        from repro.obs import tracing, write_metrics
+
+        # The bridge (relabel + factorize per subdomain) is traced with the
+        # assembly, so the file shows members against classes end to end.
+        with tracing() as tracer:
+            batch = bridge_and_assemble()
+        trace = tracer.trace()
+        if args.trace:
+            path = trace.save(args.trace)
+            print(f"[trace written to {path}]")
+        if args.metrics_out:
+            path = write_metrics(args.metrics_out, tracer.metrics)
+            print(f"[metrics written to {path}]")
+        print(trace.render(max_depth=3))
+    else:
+        batch = bridge_and_assemble()
     print(batch.stats.summary())
     pipe = engine.schedule(
         batch.work, mode=args.mode, n_threads=args.threads, n_streams=args.streams

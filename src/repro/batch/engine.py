@@ -979,30 +979,46 @@ def items_from_decomposition(
     """
     from repro.feti.operator import factorize_subdomain
     from repro.sparse.canonical import DEFAULT_TOLERANCE, canonical_relabeling
+    from repro.sparse.reuse import SymbolicReuse
 
     tol = DEFAULT_TOLERANCE if tolerance is None else tolerance
+    tracer = get_tracer()
+    # Relabelings and orderings are pattern-only: paid once per congruence
+    # class within this call, never remembered beyond it.
+    reuse = SymbolicReuse()
     items = []
-    for sub in decomposition.subdomains:
-        rel = None
-        if canonicalize and sub.bt is not None:
-            rel = canonical_relabeling(
-                sub.coords, k=sub.k, bt=sub.bt, tolerance=tol, rotations=rotations
-            )
-        items.append(
-            BatchItem(
-                factor=factorize_subdomain(
+    with tracer.span("batch.items", n_items=len(decomposition.subdomains)):
+        for sub in decomposition.subdomains:
+            label = f"sub{sub.index}"
+            rel = None
+            if canonicalize and sub.bt is not None:
+                with tracer.span("sparse.relabel", label=label):
+                    rel = canonical_relabeling(
+                        sub.coords,
+                        k=sub.k,
+                        bt=sub.bt,
+                        tolerance=tol,
+                        rotations=rotations,
+                        reuse=reuse,
+                    )
+            with tracer.span("sparse.factorize", label=label):
+                factor = factorize_subdomain(
                     sub,
                     ordering=ordering,
                     engine=engine,
                     conform=conform,
                     relabeling=rel,
-                ),
-                bt=sub.bt,
-                label=f"sub{sub.index}",
-                coords=sub.coords,
-                relabeling=rel,
+                    reuse=reuse,
+                )
+            items.append(
+                BatchItem(
+                    factor=factor,
+                    bt=sub.bt,
+                    label=label,
+                    coords=sub.coords,
+                    relabeling=rel,
+                )
             )
-        )
     return items
 
 

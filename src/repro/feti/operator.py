@@ -20,6 +20,7 @@ import scipy.sparse as sp
 from repro.dd.decomposition import Decomposition
 from repro.dd.subdomain import Subdomain
 from repro.sparse.cholesky import CholeskyFactor, cholesky
+from repro.sparse.ordering import compute_ordering
 from repro.util import require
 
 
@@ -70,6 +71,7 @@ def factorize_subdomain(
     engine: str = "superlu",
     conform: bool = True,
     relabeling=None,
+    reuse=None,
 ) -> CholeskyFactor:
     """Factorize the (regularized) subdomain matrix with coordinates-aware
     nested dissection — the per-subdomain numerical factorization of §2.2.
@@ -91,34 +93,36 @@ def factorize_subdomain(
     factorization of the (canonically regularized) subdomain matrix —
     ``factor.solve`` and :meth:`SchurAssembler.assemble
     <repro.core.assembler.SchurAssembler.assemble>` work unchanged.
+
+    The fill-reducing ordering depends on the matrix pattern and the
+    coordinates only; a *reuse* scope
+    (:class:`~repro.sparse.reuse.SymbolicReuse`) lets members with bit-equal
+    ones share it.  Everything that reads values — regularization, the
+    numeric factorization, conforming — stays per subdomain.
     """
     if relabeling is None:
-        return cholesky(
-            sub.regularized(),
-            ordering=ordering,
-            coords=sub.coords,
-            engine=engine,
-            conform=conform,
-        )
-    from repro.sparse import choose_fixing_dofs, regularize
+        k_reg, coords = sub.regularized(), sub.coords
+    else:
+        from repro.sparse import choose_fixing_dofs, regularize
 
-    require(
-        relabeling.n_dofs == sub.n_dofs,
-        "relabeling does not match the subdomain's DOF count",
-    )
-    k_c = relabeling.apply_matrix(sub.k)
-    coords_c = relabeling.coords()
-    if sub.floating:
-        fixing = choose_fixing_dofs(k_c, sub.kernel_dim, coords=coords_c)
-        k_c = regularize(k_c, fixing)
-    factor_c = cholesky(
-        k_c, ordering=ordering, coords=coords_c, engine=engine, conform=conform
-    )
+        require(
+            relabeling.n_dofs == sub.n_dofs,
+            "relabeling does not match the subdomain's DOF count",
+        )
+        k_reg = relabeling.apply_matrix(sub.k)
+        coords = relabeling.coords()
+        if sub.floating:
+            fixing = choose_fixing_dofs(k_reg, sub.kernel_dim, coords=coords)
+            k_reg = regularize(k_reg, fixing)
+    perm = compute_ordering(k_reg, method=ordering, coords=coords, reuse=reuse)
+    factor = cholesky(k_reg, perm=perm, engine=engine, conform=conform)
+    if relabeling is None:
+        return factor
     return CholeskyFactor(
-        l=factor_c.l,
-        perm=relabeling.dof_perm[factor_c.perm],
-        flops=factor_c.flops,
-        engine=factor_c.engine,
+        l=factor.l,
+        perm=relabeling.dof_perm[factor.perm],
+        flops=factor.flops,
+        engine=factor.engine,
     )
 
 

@@ -319,6 +319,13 @@ def fleet_report(files: list[TraceFile | str], top_hist: int = 12) -> str:
         f"iteration(s), {_fmt(counters.get('pcpg.deflations', 0))} "
         f"deflation event(s)"
     )
+    lines.append(
+        f"  symbolic: {_fmt(counters.get('sparse.relabel.searched', 0))} relabeling "
+        f"search(es) + {_fmt(counters.get('sparse.relabel.reused', 0))} reused "
+        f"({_fmt(counters.get('sparse.relabel.candidates', 0))} expensive "
+        f"candidate(s)), {_fmt(counters.get('sparse.ordering.computed', 0))} "
+        f"ordering(s) computed + {_fmt(counters.get('sparse.ordering.reused', 0))} reused"
+    )
     hist = snap["histograms"]
     fill = hist.get("batch.union_fill_ratio")
     if fill and fill["n"]:

@@ -223,6 +223,11 @@ class Tracer:
             return NOOP_SPAN
         return _LiveSpan(self, name, attrs)
 
+    def count(self, name: str, value: float = 1.0) -> None:
+        """Add *value* to counter *name*; nothing is recorded while disabled."""
+        if self.enabled:
+            self.metrics.count(name, value)
+
     def add_span(
         self,
         name: str,

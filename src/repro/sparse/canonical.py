@@ -54,6 +54,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from repro.obs import get_tracer
+from repro.sparse.reuse import SymbolicReuse
 from repro.util import require
 
 #: Default relative quantization tolerance.  Coordinate jitter below
@@ -520,43 +522,99 @@ def near_signature(
     return h.hexdigest()
 
 
-def _pattern_bytes(a: sp.spmatrix) -> bytes:
-    ac = a.tocsc()
-    ac.sort_indices()
+def _pattern_bytes(shape, indptr: np.ndarray, indices: np.ndarray) -> bytes:
+    """Byte string of a sorted-CSC pattern: ``shape|indptr|indices|`` as int64."""
     return b"".join(
         np.ascontiguousarray(np.asarray(arr, dtype=np.int64)).tobytes() + b"|"
-        for arr in (np.asarray(ac.shape), ac.indptr, ac.indices)
+        for arr in (np.asarray(shape), indptr, indices)
     )
 
 
-def _canonical_columns(bt_rows: sp.spmatrix) -> tuple[np.ndarray, bytes]:
+def _entry_indices(a: sp.spmatrix) -> tuple[np.ndarray, np.ndarray]:
+    """``(major, minor)`` int64 index of every stored entry of a CSR/CSC matrix."""
+    major = np.repeat(np.arange(a.indptr.size - 1, dtype=np.int64), np.diff(a.indptr))
+    return major, a.indices.astype(np.int64)
+
+
+def _relabeled_pattern_bytes(
+    n: int, k_row: np.ndarray, k_col: np.ndarray, inv: np.ndarray
+) -> bytes:
+    """:func:`_pattern_bytes` of ``kq[order][:, order]`` without building it.
+
+    Entry ``(i, j)`` of the quantized stiffness lands at ``(inv[i], inv[j])``;
+    sorting the column-major keys *is* the sorted CSC structure, so one
+    integer sort replaces two SciPy fancy-index calls, a format conversion
+    and an index sort per candidate orientation.
+    """
+    keys = inv[k_col] * n + inv[k_row]
+    keys.sort()
+    cols = keys // n
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
+    return _pattern_bytes((n, n), indptr, keys - cols * n)
+
+
+def _canonical_columns(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, bytes]:
     """Canonical column order of a gluing matrix with relabeled rows.
 
-    Columns are sorted by ``(nnz, row-index sequence)`` — a total order that
-    depends only on which *canonical* DOF slots each column touches, so two
-    mirror-identical subdomains (whose relabeled row sets coincide) sort
-    their columns into bit-equal patterns.  Columns with identical patterns
-    (redundant multipliers on one DOF) keep their relative order; any
-    resolution of that tie yields the same pattern.  Returns the column
-    permutation (canonical position ``j`` holds original column
-    ``col_perm[j]``) and the sorted key bytes.
+    *indptr*/*rows* are the matrix's CSC structure with ascending rows inside
+    every column.  Columns are sorted by ``(nnz, row-index sequence)`` — a
+    total order that depends only on which *canonical* DOF slots each column
+    touches, so two mirror-identical subdomains (whose relabeled row sets
+    coincide) sort their columns into bit-equal patterns.  Columns with
+    identical patterns (redundant multipliers on one DOF) keep their
+    relative order; any resolution of that tie yields the same pattern.
+    Returns the column permutation (canonical position ``j`` holds original
+    column ``col_perm[j]``) and the sorted key bytes: every column's rows as
+    big-endian int64 followed by ``;``.
     """
-    bc = bt_rows.tocsc()
-    bc.sort_indices()
-    m = bc.shape[1]
-    keys = []
-    for j in range(m):
-        rows = np.asarray(bc.indices[bc.indptr[j] : bc.indptr[j + 1]], dtype=">i8")
-        keys.append((rows.size, rows.tobytes()))
-    col_perm = np.asarray(sorted(range(m), key=keys.__getitem__), dtype=np.intp)
-    key_bytes = b"".join(keys[j][1] + b";" for j in col_perm)
-    return col_perm, key_bytes
+    m = indptr.size - 1
+    sizes = np.diff(indptr)
+    # Row sequences padded to the widest column; the size key sorts first, so
+    # the padding only ever meets padding.
+    padded = np.full((m, int(sizes.max()) if m else 0), -1, dtype=np.int64)
+    slot = np.arange(rows.size) - np.repeat(indptr[:-1], sizes)
+    padded[np.repeat(np.arange(m), sizes), slot] = rows
+    col_perm = np.lexsort(np.vstack([padded.T[::-1], sizes])).astype(np.intp)
+
+    sorted_sizes = sizes[col_perm]
+    out_start = np.cumsum(sorted_sizes) - sorted_sizes
+    gather = np.repeat(indptr[:-1][col_perm] - out_start, sorted_sizes) + np.arange(rows.size)
+    buf = np.empty(8 * rows.size + m, dtype=np.uint8)
+    is_row_byte = np.ones(buf.size, dtype=bool)
+    is_row_byte[np.cumsum(8 * sorted_sizes + 1) - 1] = False
+    buf[is_row_byte] = rows[gather].astype(">i8").view(np.uint8)
+    buf[~is_row_byte] = ord(";")
+    return col_perm, buf.tobytes()
 
 
 def _invert(perm: np.ndarray) -> np.ndarray:
     inverse = np.empty(perm.size, dtype=np.intp)
     inverse[perm] = np.arange(perm.size, dtype=np.intp)
     return inverse
+
+
+def permute_symmetric(
+    a: sp.spmatrix, perm: np.ndarray, format: str = "csr"
+) -> sp.csr_matrix | sp.csc_matrix:
+    """``a[perm][:, perm]`` with sorted indices, as CSR or CSC.
+
+    Entry ``(i, j)`` moves to ``(inv[i], inv[j])``; one stable sort of the
+    major-order keys builds the compressed structure directly, which is
+    several times cheaper on subdomain-sized matrices than SciPy's two
+    fancy-index passes plus a format conversion.  Values are only moved.
+    """
+    require(format in ("csr", "csc"), "format must be 'csr' or 'csc'")
+    n = a.shape[0]
+    coo = a.tocoo()
+    inv = _invert(np.asarray(perm, dtype=np.intp))
+    row, col = inv[coo.row], inv[coo.col]
+    major, minor = (row, col) if format == "csr" else (col, row)
+    order = np.argsort(major * n + minor, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(major, minlength=n), out=indptr[1:])
+    cls = sp.csr_matrix if format == "csr" else sp.csc_matrix
+    return cls((coo.data[order], minor[order], indptr), shape=a.shape)
 
 
 @dataclass(frozen=True)
@@ -659,8 +717,8 @@ class CanonicalRelabeling:
         """
         require(sp.issparse(k), "k must be sparse")
         require(k.shape == (self.n_dofs, self.n_dofs), "k shape mismatch")
-        kk = quantize_pattern(k, self.value_tolerance) if quantize else k.tocsr()
-        return kk[self.dof_perm][:, self.dof_perm].tocsr()
+        kk = quantize_pattern(k, self.value_tolerance) if quantize else k
+        return permute_symmetric(kk, self.dof_perm)
 
     def apply_bt(self, bt: sp.spmatrix) -> sp.csc_matrix:
         """Relabel a gluing matrix: canonical DOF rows, canonical columns."""
@@ -696,6 +754,76 @@ class CanonicalRelabeling:
         return out
 
 
+def _keep_minimal(candidates: list, keys: list[bytes]) -> tuple[bytes, list]:
+    """The minimal key and the candidates carrying it, in input order."""
+    best = min(keys)
+    return best, [c for c, key in zip(candidates, keys) if key == best]
+
+
+def _orientation_search(
+    lat: np.ndarray,
+    feats: np.ndarray,
+    kq: sp.csr_matrix | None,
+    bc: sp.csc_matrix | None,
+) -> tuple[bytes, tuple, tuple, np.ndarray, np.ndarray, np.ndarray, int]:
+    """Minimize ``points # K-pattern # columns`` over every orientation.
+
+    The leading parts have the same length in every orientation, so the
+    lexicographic minimum of the concatenation is the minimum of each later
+    part among the orientations that tie on all earlier ones.  The search is
+    therefore staged: the cheap point-set bytes for every orientation, the
+    relabeled stiffness pattern only for the ties, the gluing-column keys
+    only for what still ties; the first survivor in enumeration order wins
+    a full tie, exactly as a strict ``<`` over whole candidate strings would
+    pick it.  Returns the winning candidate string, its axis permutation and
+    signs, the DOF order, the oriented lattice in that order, the column
+    permutation, and the number of orientations that reached an expensive
+    stage.
+    """
+    n, d = lat.shape
+    oriented, point_keys = [], []
+    for perm, signs in orientation_transforms(max(d, 1)) if d else [((), ())]:
+        pts, rows, order = _oriented_rows(lat, feats, perm, signs)
+        oriented.append((perm, signs, order, pts))
+        point_keys.append(np.ascontiguousarray(rows[order]).tobytes())
+    cand, oriented = _keep_minimal(oriented, point_keys)
+    n_expensive = len(oriented) if kq is not None or bc is not None else 0
+    # Survivors carry the inverse DOF order the index arithmetic works with.
+    survivors = [(o, _invert(o[2])) for o in oriented]
+
+    if kq is not None:
+        k_row, k_col = _entry_indices(kq)
+        part, survivors = _keep_minimal(
+            survivors,
+            [_relabeled_pattern_bytes(n, k_row, k_col, inv) for _, inv in survivors],
+        )
+        cand += b"#" + part
+
+    col_perm = np.empty(0, dtype=np.intp)
+    if bc is not None:
+        b_col, b_row = _entry_indices(bc)
+        columns = []
+        for _, inv in survivors:
+            # Ascending keys are ascending relabeled rows inside each column;
+            # the column of every sorted entry is still b_col.
+            keys = b_col * n + inv[b_row]
+            keys.sort()
+            columns.append(_canonical_columns(bc.indptr, keys - b_col * n))
+        part, kept = _keep_minimal(
+            list(zip(survivors, columns)), [col_bytes for _, col_bytes in columns]
+        )
+        cand += b"#" + part
+        winner, (col_perm, _) = kept[0]
+        survivors = [winner]
+
+    (perm, signs, order, pts), _ = survivors[0]
+    return cand, perm, signs, order, pts[order], col_perm, n_expensive
+
+
+def _int64_bytes(arr: np.ndarray) -> bytes:
+    return np.ascontiguousarray(arr, dtype=np.int64).tobytes()
+
+
 def canonical_relabeling(
     coords: np.ndarray,
     k: sp.spmatrix | None = None,
@@ -703,17 +831,20 @@ def canonical_relabeling(
     tolerance: float = DEFAULT_TOLERANCE,
     value_tolerance: float = DEFAULT_VALUE_TOLERANCE,
     rotations: bool = False,
+    reuse: SymbolicReuse | None = None,
 ) -> CanonicalRelabeling:
     """Build the :class:`CanonicalRelabeling` of one subdomain.
 
-    Enumerates every orientation transform of the canonical lattice and
-    picks the one minimizing the concatenated byte string of
+    Picks, over every orientation transform of the canonical lattice, the
+    one minimizing the concatenated byte string of
 
     1. the lexsorted labelled point set (coordinates + per-DOF gluing
        multiplicity — the :func:`canonical_signature` candidate),
     2. the relabeled pattern of the quantized stiffness *k* (when given —
        triangulated meshes have adjacency the point set alone cannot see),
-    3. the canonical gluing-column keys of *bt* (when given).
+    3. the canonical gluing-column keys of *bt* (when given)
+
+    (see :func:`_orientation_search` for how the enumeration is staged).
 
     The minimum is the class representative: members of one canonical class
     relabel onto bit-equal structures, members of different classes cannot
@@ -737,6 +868,13 @@ def canonical_relabeling(
     (structured boxes) keep the axis-aligned frame, so the option is safe
     to leave on for mixed populations; it defaults to off because the two
     modes emit different signature namespaces.
+
+    The search reads its inputs only through the canonical lattice (in
+    input DOF order) and the quantized *k* and *bt* patterns, which are
+    bit-equal for translate-identical subdomains.  With a *reuse* scope
+    (:class:`~repro.sparse.reuse.SymbolicReuse`) those bytes key a lookup:
+    a subdomain whose key was seen before gets the relabeling built then —
+    the same (read-only) object — instead of a new search.
     """
     coords = np.asarray(coords, dtype=np.float64)
     if coords.ndim == 1:
@@ -749,51 +887,53 @@ def canonical_relabeling(
     n, d = lat.shape
     multiplicity = None
     kq = None
-    btr = None
+    bc = None
     if bt is not None:
         require(sp.issparse(bt), "bt must be sparse")
         require(bt.shape[0] == n, "bt must have one row per DOF")
-        btr = bt.tocsr()
-        multiplicity = np.asarray(btr.getnnz(axis=1), dtype=np.int64)
+        bc = bt.tocsc()
+        multiplicity = np.bincount(bc.indices, minlength=n).astype(np.int64)
     if k is not None:
         require(sp.issparse(k), "k must be sparse")
         require(k.shape == (n, n), "k must be square with one row per DOF")
         kq = quantize_pattern(k, value_tolerance)
     feats = _as_features(multiplicity, n)
+    # Namespace the rotated frame: identical lattices reached with and
+    # without inertia alignment are different classes.
+    namespace = int(rotations) + int(rotated)
 
-    best = None
-    for perm, signs in orientation_transforms(max(d, 1)) if d else [((), ())]:
-        pts, rows, order = _oriented_rows(lat, feats, perm, signs)
-        cand = np.ascontiguousarray(rows[order]).tobytes()
-        cp = np.empty(0, dtype=np.intp)
-        if kq is not None:
-            cand += b"#" + _pattern_bytes(kq[order][:, order])
-        if btr is not None:
-            cp, col_bytes = _canonical_columns(btr[order])
-            cand += b"#" + col_bytes
-        if best is None or cand < best[0]:
-            best = (cand, perm, signs, order, pts[order], cp)
+    tracer = get_tracer()
+    key = None
+    if reuse is not None:
+        key = (
+            (n, d, tolerance, value_tolerance, namespace),
+            _int64_bytes(lat),
+            None if kq is None else (_int64_bytes(kq.indptr), _int64_bytes(kq.indices)),
+            None if bc is None else (_int64_bytes(bc.indptr), _int64_bytes(bc.indices)),
+        )
+        hit = reuse.relabelings.get(key)
+        if hit is not None:
+            tracer.count("sparse.relabel.reused")
+            return hit
 
-    cand, axis_perm, axis_signs, dof_perm, lattice, col_perm = best
+    cand, axis_perm, axis_signs, dof_perm, lattice, col_perm, n_expensive = (
+        _orientation_search(lat, feats, kq, bc)
+    )
+    tracer.count("sparse.relabel.searched")
+    tracer.count("sparse.relabel.candidates", n_expensive)
     h = hashlib.sha256()
     h.update(
         np.asarray(
-            [
-                n,
-                d,
-                feats.shape[1],
-                int(k is not None),
-                int(bt is not None),
-                # Namespace the rotated frame: identical lattices reached
-                # with and without inertia alignment are different classes.
-                int(rotations) + int(rotated),
-            ],
+            [n, d, feats.shape[1], int(k is not None), int(bt is not None), namespace],
             dtype=np.int64,
         ).tobytes()
     )
     h.update(b"|")
     h.update(cand)
-    return CanonicalRelabeling(
+    # One relabeling can sit in many BatchItems: nobody may write to it.
+    for shared in (dof_perm, col_perm, lattice):
+        shared.flags.writeable = False
+    relabeling = CanonicalRelabeling(
         signature=h.hexdigest(),
         axis_perm=tuple(int(p) for p in axis_perm),
         axis_signs=tuple(int(s) for s in axis_signs),
@@ -803,6 +943,9 @@ def canonical_relabeling(
         tolerance=tolerance,
         value_tolerance=value_tolerance,
     )
+    if reuse is not None:
+        reuse.relabelings[key] = relabeling
+    return relabeling
 
 
 # ---------------------------------------------------------------------------
@@ -1072,5 +1215,6 @@ __all__ = [
     "UnionEmbedding",
     "UnionPlan",
     "pattern_union",
+    "permute_symmetric",
     "union_plan",
 ]

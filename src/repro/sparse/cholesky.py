@@ -26,6 +26,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro.obs import get_tracer
+from repro.sparse.canonical import permute_symmetric
 from repro.sparse.etree import elimination_tree, row_pattern
 from repro.sparse.ordering import compute_ordering
 from repro.sparse.triangular import TriangularSolver
@@ -78,14 +79,13 @@ class CholeskyFactor:
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve ``A x = b`` (in the original, unpermuted ordering)."""
         b = np.asarray(b, dtype=np.float64)
-        squeeze = b.ndim == 1
         bp = b[self.perm]
         s = self.solver()
         y = s.solve(bp)
         xp = s.solve(y, transpose=True)
         x = np.empty_like(xp)
         x[self.perm] = xp
-        return x if not squeeze else x
+        return x
 
     def solve_permuted(self, b: np.ndarray) -> np.ndarray:
         """Solve ``(L L^T) x = b`` in the permuted ordering (no perm applied)."""
@@ -139,7 +139,7 @@ def cholesky(
             perm = compute_ordering(a, method=ordering, coords=coords)
         else:
             perm = check_permutation(perm, n, "perm")
-        ap = sp.csc_matrix(a.tocsr()[perm][:, perm])
+        ap = permute_symmetric(a, perm, format="csc")
 
         if engine == "native":
             l = _native_cholesky(ap)

@@ -5,10 +5,12 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from repro.obs import get_tracer
 from repro.sparse.ordering.amd import amd_ordering
 from repro.sparse.ordering.natural import natural_ordering
 from repro.sparse.ordering.nested_dissection import nd_ordering
 from repro.sparse.ordering.rcm import rcm_ordering
+from repro.sparse.reuse import SymbolicReuse
 from repro.util import require
 
 ORDERING_METHODS = ("natural", "rcm", "amd", "nd")
@@ -18,6 +20,7 @@ def compute_ordering(
     a: sp.spmatrix,
     method: str = "nd",
     coords: np.ndarray | None = None,
+    reuse: SymbolicReuse | None = None,
     **kwargs,
 ) -> np.ndarray:
     """Compute a fill-reducing permutation of the symmetric matrix *a*.
@@ -32,6 +35,12 @@ def compute_ordering(
         relies on).
     coords:
         Optional node coordinates, used by geometric nested dissection.
+    reuse:
+        Optional :class:`~repro.sparse.reuse.SymbolicReuse` scope.  Every
+        method reads *a* only through the CSR structure of its pattern, and
+        nested dissection reads *coords* as float64; those bytes (with the
+        method and its parameters) key a lookup, and a hit returns the
+        permutation computed for them before — the same read-only array.
 
     Returns
     -------
@@ -40,13 +49,37 @@ def compute_ordering(
         matrix.
     """
     require(method in ORDERING_METHODS, f"unknown ordering method {method!r}")
+    tracer = get_tracer()
+    key = None
+    if reuse is not None:
+        acsr = a.tocsr()
+        key = (
+            method,
+            tuple(sorted(kwargs.items())),
+            acsr.shape,
+            acsr.indptr.tobytes(),
+            acsr.indices.tobytes(),
+            None
+            if coords is None or method != "nd"
+            else (np.shape(coords), np.asarray(coords, dtype=np.float64).tobytes()),
+        )
+        hit = reuse.orderings.get(key)
+        if hit is not None:
+            tracer.count("sparse.ordering.reused")
+            return hit
     if method == "natural":
-        return natural_ordering(a)
-    if method == "rcm":
-        return rcm_ordering(a)
-    if method == "amd":
-        return amd_ordering(a)
-    return nd_ordering(a, coords=coords, **kwargs)
+        perm = natural_ordering(a)
+    elif method == "rcm":
+        perm = rcm_ordering(a)
+    elif method == "amd":
+        perm = amd_ordering(a)
+    else:
+        perm = nd_ordering(a, coords=coords, **kwargs)
+    tracer.count("sparse.ordering.computed")
+    if reuse is not None:
+        perm.flags.writeable = False
+        reuse.orderings[key] = perm
+    return perm
 
 
 __all__ = [

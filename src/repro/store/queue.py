@@ -203,9 +203,7 @@ class JobQueue:
         self._db.close()
 
     def _count(self, name: str, value: float = 1.0) -> None:
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.metrics.count(name, value)
+        get_tracer().count(name, value)
 
     # -- producers ---------------------------------------------------------
 

@@ -322,9 +322,7 @@ class ArtifactStore:
 
     @staticmethod
     def _count(name: str) -> None:
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.metrics.count(name)
+        get_tracer().count(name)
 
 
 __all__ = ["ArtifactStore", "StoreStats", "StoreEntry", "ARTIFACT_SUFFIX"]

@@ -281,10 +281,7 @@ def run_worker(
     stats = WorkerStats(owner=owner)
     t0 = time.perf_counter()
     tracer = get_tracer()
-
-    def count(name: str, value: float = 1.0) -> None:
-        if tracer.enabled:
-            tracer.metrics.count(name, value)
+    count = tracer.count
 
     with tracer.span("worker.run", owner=owner):
         while True:

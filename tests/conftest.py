@@ -7,6 +7,12 @@ import pytest
 import scipy.sparse as sp
 
 
+def pytest_configure(config) -> None:
+    config.addinivalue_line(
+        "markers", "slow: full driver runs that take seconds rather than milliseconds"
+    )
+
+
 def random_spd(n: int, density: float = 0.05, seed: int = 0) -> sp.csr_matrix:
     """Random sparse SPD matrix: symmetric pattern + diagonal dominance."""
     a = sp.random(n, n, density=density, random_state=seed)

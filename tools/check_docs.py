@@ -81,6 +81,8 @@ FLAG_ALLOWLIST = {
     "--baseline",
     "--delta-out",
     "--benchmark-json",
+    # flag of perf/run.py (docs/ci.md)
+    "--scale",
 }
 
 
