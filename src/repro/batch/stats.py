@@ -268,12 +268,14 @@ class SolveStats:
     how the per-iteration work executed — how many RHS columns rode one
     block solve, how many kernel launches each iteration cost grouped vs
     per-subdomain, and how much simulated per-iteration time the batched
-    dual-operator path charged.  ``launches_sequential_per_iteration`` is
-    the comparator (6 launches per subdomain per application); their ratio
-    — :attr:`launch_reduction` — is the solve-side analogue of the
-    assembly engine's grouped-vs-per-member speedup.  ``n_deflated``
-    counts RHS columns retired early by the block recurrence's
-    convergence deflation.
+    dual-operator path charged.  ``application`` names the kernel chain
+    that applied ``F`` (``"explicit GEMM"`` against the assembled Schur
+    complements, 3 launches per member; ``"implicit TRSM"`` against the
+    factors, 6) and ``launches_sequential_per_iteration`` is the same chain
+    run per subdomain, so their ratio — :attr:`launch_reduction` — is the
+    like-for-like solve-side analogue of the assembly engine's
+    grouped-vs-per-member speedup.  ``n_deflated`` counts RHS columns
+    retired early by the block recurrence's convergence deflation.
     """
 
     n_rhs: int = 0
@@ -286,6 +288,7 @@ class SolveStats:
     apply_seconds: float = 0.0
     apply_seconds_per_iteration: float = 0.0
     lowrank_rank: int = 0
+    application: str = ""
 
     @property
     def launch_reduction(self) -> float:
@@ -313,16 +316,20 @@ class SolveStats:
             apply_seconds_per_iteration=self.apply_seconds_per_iteration
             + other.apply_seconds_per_iteration,
             lowrank_rank=max(self.lowrank_rank, other.lowrank_rank),
+            application=self.application
+            if self.application == other.application
+            else "mixed",
         )
 
     def summary(self) -> str:
         """Human-readable multi-line report."""
+        chain = f" ({self.application})" if self.application else ""
         lines = [
             f"solve:             {self.n_rhs} RHS column(s) over "
             f"{self.n_subdomains} subdomain(s) in {self.n_groups} group(s)",
             f"iterations:        {self.iterations} "
             f"({self.n_deflated} column(s) deflated early)",
-            f"launches/iter:     {self.launches_per_iteration} grouped vs "
+            f"launches/iter:     {self.launches_per_iteration} grouped{chain} vs "
             f"{self.launches_sequential_per_iteration} per-subdomain "
             f"({self.launch_reduction:.2f}x reduction)",
             f"apply:             {self.apply_seconds * 1e3:.3f} ms simulated "

@@ -69,8 +69,15 @@ class DualOperatorApproach:
     apply_device: str = "cpu"  # where F is applied each iteration
 
     def preprocess_subdomain(
-        self, sub: Subdomain, ordering: str = "nd", engine: str = "superlu"
+        self,
+        sub: Subdomain,
+        ordering: str = "nd",
+        engine: str = "superlu",
+        reuse=None,
     ) -> SubdomainPreprocess:
+        """Preprocess one subdomain; *reuse* is the caller's
+        :class:`~repro.sparse.reuse.SymbolicReuse` scope, forwarded to
+        :func:`~repro.feti.operator.factorize_subdomain`."""
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
@@ -82,8 +89,8 @@ class _ImplicitApproach(DualOperatorApproach):
 
     library: FactorizationLibrary
 
-    def preprocess_subdomain(self, sub, ordering="nd", engine="superlu"):
-        factor = factorize_subdomain(sub, ordering=ordering, engine=engine)
+    def preprocess_subdomain(self, sub, ordering="nd", engine="superlu", reuse=None):
+        factor = factorize_subdomain(sub, ordering=ordering, engine=engine, reuse=reuse)
         return SubdomainPreprocess(
             local_op=ImplicitLocalOperator(factor=factor, bt=sub.bt),
             factorization_time=self.library.factorization_time(factor),
@@ -110,8 +117,8 @@ class ExplMkl(DualOperatorApproach):
     explicit = True
     apply_device = "cpu"
 
-    def preprocess_subdomain(self, sub, ordering="nd", engine="superlu"):
-        factor = factorize_subdomain(sub, ordering=ordering, engine=engine)
+    def preprocess_subdomain(self, sub, ordering="nd", engine="superlu", reuse=None):
+        factor = factorize_subdomain(sub, ordering=ordering, engine=engine, reuse=reuse)
         res = schur_augmented(sub.regularized(), sub.bt, factor=factor)
         from repro.gpu.costmodel import KernelCost
 
@@ -142,10 +149,10 @@ class _AssemblerApproach(DualOperatorApproach):
     def _config(self, dim: int) -> AssemblyConfig:
         raise NotImplementedError
 
-    def preprocess_subdomain(self, sub, ordering="nd", engine="superlu"):
+    def preprocess_subdomain(self, sub, ordering="nd", engine="superlu", reuse=None):
         dim = sub.coords.shape[1]
         require(dim in (2, 3), "subdomain must be 2-D or 3-D")
-        factor = factorize_subdomain(sub, ordering=ordering, engine=engine)
+        factor = factorize_subdomain(sub, ordering=ordering, engine=engine, reuse=reuse)
         if self.gpu:
             assembler = SchurAssembler(config=self._config(dim), spec=A100_40GB)
             apply_t = explicit_apply_time(
@@ -216,8 +223,10 @@ class ExplHybrid(DualOperatorApproach):
     explicit = True
     apply_device = "gpu"
 
-    def preprocess_subdomain(self, sub, ordering="nd", engine="superlu"):
-        base = ExplMkl().preprocess_subdomain(sub, ordering=ordering, engine=engine)
+    def preprocess_subdomain(self, sub, ordering="nd", engine="superlu", reuse=None):
+        base = ExplMkl().preprocess_subdomain(
+            sub, ordering=ordering, engine=engine, reuse=reuse
+        )
         m = sub.bt.shape[1]
         from repro.gpu.spec import PCIE4_X16
 

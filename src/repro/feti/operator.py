@@ -19,6 +19,7 @@ import scipy.sparse as sp
 
 from repro.dd.decomposition import Decomposition
 from repro.dd.subdomain import Subdomain
+from repro.obs import get_tracer
 from repro.sparse.cholesky import CholeskyFactor, cholesky
 from repro.sparse.ordering import compute_ordering
 from repro.util import require
@@ -158,6 +159,18 @@ class DualOperator:
     def kernel_dim(self) -> int:
         return self.g.shape[1]
 
+    @property
+    def explicit(self) -> bool:
+        """Every local operator holds an assembled ``F̃_i`` (eq. 12)."""
+        return all(isinstance(op, ExplicitLocalOperator) for op in self.locals)
+
+    @property
+    def chain_launches(self) -> int:
+        """Kernel launches of one subdomain's application: gather → GEMM →
+        scatter-add against an assembled ``F̃_i``; gather → SpMM → TRSM →
+        TRSMᵀ → SpMMᵀ → scatter-add against its factor."""
+        return 3 if self.explicit else 6
+
     def apply(self, lam: np.ndarray) -> np.ndarray:
         """``q = F lam`` — concurrent local applications, additive gather."""
         require(lam.shape == (self.n_multipliers,), "dual vector size mismatch")
@@ -186,8 +199,19 @@ class DualOperator:
 
 
 @dataclass
+class _ExplicitGroup:
+    """One order class of the explicit path: the members' assembled
+    ``F̃_i`` stacked as ``(G, m, m)`` beside their global multiplier ids."""
+
+    members: list[int]
+    f_stack: np.ndarray
+    ids_stack: np.ndarray
+    tier: str = "explicit"
+
+
+@dataclass
 class _ApplyGroup:
-    """One batched-execution group of the grouped dual operator.
+    """One batched-execution group of the implicit path.
 
     ``bt_stack`` holds the *permuted* gluing ``bt[perm]`` of every member
     (union-padded on the near tier), ``l_stack`` the stored factors, and
@@ -204,15 +228,27 @@ class _ApplyGroup:
 
 
 class GroupedDualOperator:
-    """Batched per-iteration ``F`` application across fingerprint groups.
+    """Batched per-iteration ``F`` application across groups of subdomains.
 
-    Wraps a :class:`DualOperator` and replays its implicit application —
-    gather, SPMM with ``bt[perm]``, forward/backward TRSM on ``L``,
-    transposed SPMM, additive scatter — through the batched kernels of
-    :mod:`repro.gpu.kernels`: **one launch per kernel step per group**
-    instead of one per subdomain, 6 launches per group per application.
+    Wraps a :class:`DualOperator` and applies *what it holds* through the
+    batched kernels of :mod:`repro.gpu.kernels`, **one launch per kernel
+    step per group** instead of one per subdomain.  Which chain runs is
+    read off the operator (:attr:`DualOperator.explicit`), never asked for:
 
-    Grouping tiers (mirroring the assembly engine's):
+    **Explicit** — every local operator is an
+    :class:`ExplicitLocalOperator`: the assembled ``F̃_i`` are stacked into
+    ``(G, m, m)`` arrays, one group per dual order ``m``, and an
+    application is gather → batched GEMM → additive scatter, 3 launches
+    per order class.  The stack is the only resident copy of the Schur
+    complements (each local operator's ``f`` is rebound to its row view).
+    Dense blocks of one order always stack, so *signature* and
+    *union_fill_cap* have nothing to decide here: no fingerprint, permuted
+    gluing copy or union plan is built.
+
+    **Implicit** — otherwise the implicit application is replayed: gather,
+    SPMM with ``bt[perm]``, forward/backward TRSM on ``L``, transposed
+    SPMM, additive scatter, 6 launches per group.  *signature* picks the
+    grouping tier (mirroring the assembly engine's):
 
     * ``"exact"`` — members share one :func:`factor fingerprint
       <repro.batch.fingerprint.factor_fingerprint>` (bit-equal factor and
@@ -228,9 +264,9 @@ class GroupedDualOperator:
 
     The numerics are identical to the per-subdomain path up to BLAS
     association order; per-member FLOPs and traffic are identical *by
-    construction* on the exact tier (same cost formulas over the same
-    patterns), which the solver test-suite asserts through the executor
-    ledgers.
+    construction* on the explicit path and the exact tier (same cost
+    formulas over the same shapes and patterns), which the solver
+    test-suite asserts through the executor ledgers.
     """
 
     def __init__(
@@ -241,23 +277,55 @@ class GroupedDualOperator:
         union_fill_cap: float = 8.0,
     ) -> None:
         require(signature in ("exact", "near"), f"unknown signature {signature!r}")
-        # Lazy imports: repro.batch / repro.gpu import feti-adjacent modules.
-        from repro.batch.fingerprint import factor_fingerprint, near_fingerprint
+        # Lazy import: repro.gpu imports feti-adjacent modules.
         from repro.gpu.runtime import gpu_executor
-        from repro.sparse.stacked import StackedCSC
 
         self.base = base
         self.executor = executor if executor is not None else gpu_executor()
         self.signature = signature
-        dec = base.decomposition
-        factors = [op.factor for op in base.locals]
+        self.explicit = base.explicit
+        self._ids = [sub.multiplier_ids for sub in base.decomposition.subdomains]
+        if self.explicit:
+            self.groups = self._explicit_groups()
+        else:
+            self.groups = self._implicit_groups(signature, union_fill_cap)
+
+    # -- group construction -------------------------------------------------
+
+    def _explicit_groups(self) -> list[_ExplicitGroup]:
+        ops = self.base.locals
+        by_order: dict[int, list[int]] = {}
+        for i, op in enumerate(ops):
+            by_order.setdefault(op.f.shape[0], []).append(i)
+        groups = []
+        for members in by_order.values():
+            f_stack = np.stack([ops[i].f for i in members])
+            # Rebind to row views: the stack stays the only resident copy.
+            for row, i in enumerate(members):
+                ops[i].f = f_stack[row]
+            groups.append(
+                _ExplicitGroup(
+                    members=members,
+                    f_stack=f_stack,
+                    ids_stack=np.stack([self._ids[i] for i in members]),
+                )
+            )
+        return groups
+
+    def _implicit_groups(
+        self, signature: str, union_fill_cap: float
+    ) -> list[_ApplyGroup]:
+        # Lazy imports: repro.batch imports feti-adjacent modules.
+        from repro.batch.fingerprint import factor_fingerprint, near_fingerprint
+        from repro.sparse.stacked import StackedCSC
+
+        dec = self.base.decomposition
+        factors = [op.factor for op in self.base.locals]
         self._l = [f.l.tocsc() for f in factors]
         self._btp = [
             sub.bt.tocsr()[f.perm].tocsc()
             for sub, f in zip(dec.subdomains, factors)
         ]
-        self._ids = [sub.multiplier_ids for sub in dec.subdomains]
-
         by_key: dict[str, list[int]] = {}
         for i, (sub, f) in enumerate(zip(dec.subdomains, factors)):
             if signature == "exact":
@@ -266,16 +334,13 @@ class GroupedDualOperator:
                 key = near_fingerprint(sub.coords, sub.bt).key
             by_key.setdefault(key, []).append(i)
 
-        self.groups: list[_ApplyGroup] = []
+        groups: list[_ApplyGroup] = []
         for members in by_key.values():
             if signature == "exact" or self._patterns_equal(members):
-                self.groups.append(self._exact_group(members, StackedCSC))
+                groups.append(self._exact_group(members, StackedCSC))
             else:
-                self.groups.extend(
-                    self._union_groups(members, union_fill_cap, StackedCSC)
-                )
-
-    # -- group construction -------------------------------------------------
+                groups.extend(self._union_groups(members, union_fill_cap, StackedCSC))
+        return groups
 
     def _patterns_equal(self, members: list[int]) -> bool:
         first_l, first_bt = self._l[members[0]], self._btp[members[0]]
@@ -349,41 +414,54 @@ class GroupedDualOperator:
 
     @property
     def launches_per_application(self) -> int:
-        """Kernel launches one grouped ``F`` application costs (6 per group)."""
-        return 6 * len(self.groups)
+        """Kernel launches one grouped ``F`` application costs (3 per
+        explicit group, 6 per implicit one)."""
+        return self.base.chain_launches * len(self.groups)
 
     @property
     def sequential_launches_per_application(self) -> int:
-        """Launches of the per-subdomain path (6 per subdomain)."""
-        return 6 * len(self.base.locals)
+        """Launches of the same chain run one subdomain per launch."""
+        return self.base.chain_launches * len(self.base.locals)
 
-    def apply_panel(self, lam: np.ndarray) -> np.ndarray:
-        """``Q = F Λ`` on a multiplier panel — one kernel chain per group."""
-        from repro.obs import get_tracer
-
+    def _check_panel(self, lam: np.ndarray) -> None:
         require(
             lam.ndim == 2 and lam.shape[0] == self.n_multipliers,
             "multiplier panel must be (n_multipliers, k)",
         )
-        ex = self.executor
-        tracer = get_tracer()
-        k = lam.shape[1]
+
+    def apply_panel(self, lam: np.ndarray) -> np.ndarray:
+        """``Q = F Λ`` on a multiplier panel — one kernel chain per group."""
+        self._check_panel(lam)
+        chain = self._explicit_chain if self.explicit else self._implicit_chain
         out = np.zeros_like(lam)
         for grp in self.groups:
-            g = len(grp.members)
-            n, m = grp.bt_stack.shape
-            with tracer.span(
-                "feti.apply_group", members=g, tier=grp.tier, n=n, m=m, k=k
-            ):
-                gathered = ex.batched_panel_gather(lam, grp.ids_stack)
-                t = np.zeros((g, n, k))
-                ex.batched_spmm(grp.bt_stack, gathered, t, beta=0.0)
-                ex.batched_trsm_sparse(grp.l_stack, t)
-                ex.batched_trsm_sparse(grp.l_stack, t, trans=True)
-                contrib = np.zeros((g, m, k))
-                ex.batched_spmm(grp.bt_stack, t, contrib, beta=0.0, trans_a=True)
-                ex.batched_panel_scatter_add(out, grp.ids_stack, contrib)
+            chain(grp, lam, out)
         return out
+
+    def _explicit_chain(self, grp: _ExplicitGroup, lam: np.ndarray, out: np.ndarray) -> None:
+        ex = self.executor
+        g, m, k = len(grp.members), grp.f_stack.shape[1], lam.shape[1]
+        with get_tracer().span("feti.apply_group", members=g, tier=grp.tier, m=m, k=k):
+            gathered = ex.batched_panel_gather(lam, grp.ids_stack)
+            contrib = np.empty((g, m, k))
+            ex.batched_gemm(grp.f_stack, gathered, contrib, beta=0.0)
+            ex.batched_panel_scatter_add(out, grp.ids_stack, contrib)
+
+    def _implicit_chain(self, grp: _ApplyGroup, lam: np.ndarray, out: np.ndarray) -> None:
+        ex = self.executor
+        g, k = len(grp.members), lam.shape[1]
+        n, m = grp.bt_stack.shape
+        with get_tracer().span(
+            "feti.apply_group", members=g, tier=grp.tier, n=n, m=m, k=k
+        ):
+            gathered = ex.batched_panel_gather(lam, grp.ids_stack)
+            t = np.zeros((g, n, k))
+            ex.batched_spmm(grp.bt_stack, gathered, t, beta=0.0)
+            ex.batched_trsm_sparse(grp.l_stack, t)
+            ex.batched_trsm_sparse(grp.l_stack, t, trans=True)
+            contrib = np.zeros((g, m, k))
+            ex.batched_spmm(grp.bt_stack, t, contrib, beta=0.0, trans_a=True)
+            ex.batched_panel_scatter_add(out, grp.ids_stack, contrib)
 
     def apply(self, lam: np.ndarray) -> np.ndarray:
         """Single-vector ``F lam`` through the panel path (k = 1)."""
@@ -393,16 +471,21 @@ class GroupedDualOperator:
     def apply_panel_sequential(self, lam: np.ndarray, executor) -> np.ndarray:
         """Per-subdomain comparator: same kernel chain, one member per launch.
 
-        Charges the identical per-member kernels (gather, SPMM, TRSM pair,
-        transposed SPMM, scatter-add) to *executor* so ledgers are directly
-        comparable with the grouped path.
+        Charges the identical per-member kernels (gather, GEMM, scatter-add
+        on the explicit path; gather, SPMM, TRSM pair, transposed SPMM,
+        scatter-add on the implicit one) to *executor* so ledgers are
+        directly comparable with the grouped path.
         """
-        require(
-            lam.ndim == 2 and lam.shape[0] == self.n_multipliers,
-            "multiplier panel must be (n_multipliers, k)",
-        )
+        self._check_panel(lam)
         k = lam.shape[1]
         out = np.zeros_like(lam)
+        if self.explicit:
+            for op, ids in zip(self.base.locals, self._ids):
+                v = executor.gather_rows(lam, ids)
+                c = np.empty((ids.size, k))
+                executor.gemm(op.f, v, c, beta=0.0)
+                executor.scatter_add_rows(out, ids, c)
+            return out
         for l, btp, ids in zip(self._l, self._btp, self._ids):
             n = l.shape[0]
             v = executor.gather_rows(lam, ids)

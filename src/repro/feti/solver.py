@@ -17,6 +17,7 @@ from repro.feti.dual_approaches import DualOperatorApproach, make_approach
 from repro.feti.operator import DualOperator, build_dual_operator
 from repro.feti.pcpg import PcpgResult, pcpg
 from repro.feti.preconditioner import make_preconditioner
+from repro.sparse.reuse import SymbolicReuse
 from repro.util import require
 
 
@@ -191,12 +192,17 @@ class FetiSolver:
         return plan.chosen
 
     def preprocess(self) -> FetiTimings:
-        """Numerical factorization (+ explicit SC assembly) per subdomain."""
+        """Numerical factorization (+ explicit SC assembly) per subdomain.
+
+        Congruent subdomains share their fill-reducing ordering through one
+        :class:`~repro.sparse.reuse.SymbolicReuse` scope per call.
+        """
         local_ops = []
         t = FetiTimings()
+        reuse = SymbolicReuse()
         for sub in self.decomposition.subdomains:
             res = self.approach.preprocess_subdomain(
-                sub, ordering=self.ordering, engine=self.engine
+                sub, ordering=self.ordering, engine=self.engine, reuse=reuse
             )
             local_ops.append(res.local_op)
             t.factorization.append(res.factorization_time)
@@ -288,8 +294,10 @@ class FetiSolver:
         :func:`~repro.feti.block_pcpg.block_pcpg`; otherwise the columns
         are solved sequentially with scalar PCPG (the comparator).  With
         *grouped* the per-iteration operator applications run batched
-        through a :class:`~repro.feti.operator.GroupedDualOperator` (tier
-        picked by *signature*) and the lumped preconditioner through
+        through a :class:`~repro.feti.operator.GroupedDualOperator` — the
+        GEMM chain over the assembled Schur complements when the approach
+        is explicit, the TRSM chain over the factors (tier picked by
+        *signature*) when it is implicit — and the lumped preconditioner through
         :class:`~repro.feti.preconditioner.StackedPreconditioner`; the
         returned :class:`~repro.batch.stats.SolveStats` reports the launch
         accounting either way.  *lowrank_rank* > 0 wraps the
@@ -381,7 +389,11 @@ class FetiSolver:
             n_deflated = 0
 
         n_subs = self.decomposition.n_subdomains
-        launches_seq = 6 * n_subs
+        launches_seq = (
+            gop.sequential_launches_per_application
+            if gop is not None
+            else op.chain_launches * n_subs
+        )
         launches_grouped = (
             gop.launches_per_application if gop is not None else launches_seq
         )
@@ -400,6 +412,7 @@ class FetiSolver:
             apply_seconds=apply_seconds,
             apply_seconds_per_iteration=apply_seconds / max(iterations, 1),
             lowrank_rank=lowrank_rank,
+            application="explicit GEMM" if op.explicit else "implicit TRSM",
         )
         BatchAssembler.record_solve_stats(stats)
         u = self._recover_panel(load_panels, lam, alpha)

@@ -6,6 +6,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.obs import get_tracer
+from repro.sparse.canonical import DEFAULT_TOLERANCE, canonical_coords
 from repro.sparse.ordering.amd import amd_ordering
 from repro.sparse.ordering.natural import natural_ordering
 from repro.sparse.ordering.nested_dissection import nd_ordering
@@ -38,9 +39,12 @@ def compute_ordering(
     reuse:
         Optional :class:`~repro.sparse.reuse.SymbolicReuse` scope.  Every
         method reads *a* only through the CSR structure of its pattern, and
-        nested dissection reads *coords* as float64; those bytes (with the
-        method and its parameters) key a lookup, and a hit returns the
-        permutation computed for them before — the same read-only array.
+        nested dissection bisects on the canonical-frame float64 *coords*
+        (computed here, once, unless ``canonicalize=False``); those bytes
+        (with the method and its parameters) key a lookup, and a hit
+        returns the permutation computed for them before — the same
+        read-only array.  Translate-identical subdomains therefore hit
+        without a relabeling.
 
     Returns
     -------
@@ -50,6 +54,14 @@ def compute_ordering(
     """
     require(method in ORDERING_METHODS, f"unknown ordering method {method!r}")
     tracer = get_tracer()
+    if method == "nd" and coords is not None:
+        # Canonicalize here, once, so the reuse key below is the bytes
+        # nd_ordering bisects on.
+        if kwargs.pop("canonicalize", True):
+            coords = canonical_coords(
+                coords, kwargs.pop("tolerance", DEFAULT_TOLERANCE)
+            )
+        kwargs["canonicalize"] = False
     key = None
     if reuse is not None:
         acsr = a.tocsr()

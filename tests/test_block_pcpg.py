@@ -323,6 +323,43 @@ def test_solve_block_records_stats_and_timings():
     assert "RHS column(s)" in st_.summary()
 
 
+def test_solve_block_explicit_multiplies_by_the_assembled_schur_complements():
+    """With an explicit approach the grouped block solve runs the 3-launch
+    GEMM chain over order classes, says so in its stats, and still equals
+    the scalar solves and the direct solution."""
+    from repro.dd import decompose
+    from repro.fem import heat_transfer_2d
+    from repro.feti.solver import FetiSolver
+
+    problem = heat_transfer_2d(24, dirichlet=("left", "right"))
+    dec = decompose(problem, grid=(4, 4))
+    solver = FetiSolver(dec, approach="expl_gpu_opt")
+    seq = solver.solve_block(n_rhs=4, block=False, grouped=False, seed=2)
+    scalar = solver.solve()
+    block = solver.solve_block(n_rhs=4, block=True, grouped=True, seed=2)
+    assert block.converged and seq.converged
+
+    scale = float(np.abs(seq.u).max())
+    assert np.abs(block.u - seq.u).max() <= 1e-10 * scale
+    assert np.abs(block.u[:, 0] - scalar.u).max() <= 1e-10 * scale
+    reference = problem.solve_direct()
+    assert np.linalg.norm(block.u[:, 0] - reference) <= 1e-8 * np.linalg.norm(reference)
+
+    orders = {sub.n_multipliers for sub in dec.subdomains}
+    for st_, n_groups in ((block.stats, len(orders)), (seq.stats, dec.n_subdomains)):
+        assert st_.application == "explicit GEMM"
+        assert st_.n_groups == n_groups
+        assert st_.launches_per_iteration == 3 * n_groups
+        assert st_.launches_sequential_per_iteration == 3 * dec.n_subdomains
+    assert f"{3 * len(orders)} grouped (explicit GEMM) vs" in block.stats.summary()
+
+    implicit = FetiSolver(dec, approach="impl_mkl").solve_block(n_rhs=2, seed=2)
+    assert implicit.stats.application == "implicit TRSM"
+    assert implicit.stats.launches_per_iteration == 6 * implicit.stats.n_groups
+    assert implicit.stats.launches_sequential_per_iteration == 6 * dec.n_subdomains
+    assert "(implicit TRSM)" in implicit.stats.summary()
+
+
 def test_block_pcpg_records_convergence_metrics():
     """Tracing a block solve yields per-iteration convergence metrics:
     iteration/deflation counters and the residual-decay histogram."""

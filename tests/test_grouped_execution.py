@@ -532,3 +532,112 @@ def test_engine_union_failure_falls_back_per_member():
     for a, b in zip(ref.results, batch.results):
         scale = max(1.0, float(np.abs(a.f).max(initial=0.0)))
         assert np.allclose(b.f, a.f, rtol=RTOL, atol=ATOL * scale)
+
+
+# ---------------------------------------------------------------------------
+# Explicit approaches: the grouped operator multiplies by the assembled SCs
+# ---------------------------------------------------------------------------
+
+
+def _explicit_solver(case: str):
+    from repro.dd import decompose
+    from repro.fem import heat_problem, heat_transfer_3d
+    from repro.feti.solver import FetiSolver
+    from repro.part import make_mesh
+
+    if case == "grid2d":
+        return _feti_operator(dirichlet=("left", "right"), approach="expl_gpu_opt")
+    if case == "cube3d":
+        dec = decompose(heat_transfer_3d(6, dirichlet=("left",)), grid=(2, 2, 2))
+    else:
+        problem = heat_problem(make_mesh("jittered", 12, seed=1), dirichlet=("boundary",))
+        dec = decompose(problem, n_subdomains=7, partitioner="rcb", seed=1)
+    solver = FetiSolver(dec, approach="expl_gpu_opt")
+    solver.preprocess()
+    return solver
+
+
+@pytest.mark.parametrize("case", ["grid2d", "cube3d", "jittered"])
+def test_explicit_grouped_operator_applies_the_assembled_schur_complements(case):
+    """One group per dual order ``m`` (singletons included), 3 launches
+    each, ``2 m^2 k`` GEMM FLOPs per member, and the same values as the
+    column-by-column ``DualOperator.apply`` — for full panels and for the
+    narrower active panels deflation leaves behind."""
+    from repro.feti.operator import ExplicitLocalOperator, GroupedDualOperator
+    from repro.obs import tracing
+
+    op = _explicit_solver(case).operator
+    assert op.explicit and all(isinstance(o, ExplicitLocalOperator) for o in op.locals)
+    orders = [o.f.shape[0] for o in op.locals]
+    rng = np.random.default_rng(0)
+    lam = rng.standard_normal((op.n_multipliers, 4))
+    # Reference first: the grouped operator rebinds every ``f`` to its stack.
+    want = np.stack([op.apply(lam[:, j]) for j in range(4)], axis=1)
+
+    ex_gr, ex_pm = Executor(A100_40GB), Executor(A100_40GB)
+    gop = GroupedDualOperator(op, executor=ex_gr)
+    assert sorted(g.f_stack.shape[1] for g in gop.groups) == sorted(set(orders))
+    assert sorted(i for g in gop.groups for i in g.members) == list(range(len(orders)))
+    if case == "jittered":  # members of unequal order: 9, 9, 9, 10, 16, 16, 19
+        sizes = sorted(len(g.members) for g in gop.groups)
+        assert sizes[0] == 1 and sizes[-1] > 1
+    for grp in gop.groups:
+        for row, i in enumerate(grp.members):
+            assert np.shares_memory(op.locals[i].f, grp.f_stack)
+            assert np.array_equal(op.locals[i].f, grp.f_stack[row])
+
+    scale = max(1.0, float(np.abs(want).max()))
+    for k in (4, 1, 2):  # a full panel, a vector, a deflated panel
+        ex_gr.reset()
+        ex_pm.reset()
+        with tracing() as tracer:
+            got = gop.apply_panel(lam[:, :k])
+        seq = gop.apply_panel_sequential(lam[:, :k], ex_pm)
+        assert np.abs(got - want[:, :k]).max() <= 1e-12 * scale
+        assert np.abs(seq - want[:, :k]).max() <= 1e-12 * scale
+
+        gr, pm = ex_gr.ledger.total, ex_pm.ledger.total
+        assert gr.launches == gop.launches_per_application == 3 * gop.n_groups
+        assert pm.launches == gop.sequential_launches_per_application == 3 * len(orders)
+        assert gr.flops == pytest.approx(pm.flops, rel=1e-12)
+        assert gr.bytes_moved == pytest.approx(pm.bytes_moved, rel=1e-12)
+        trace = tracer.trace()
+        kernels = [s for s in trace.spans if s.name.startswith("gpu.")]
+        assert [s.name for s in kernels] == [
+            "gpu.batched_panel_gather", "gpu.batched_gemm", "gpu.batched_panel_scatter_add"
+        ] * gop.n_groups
+        assert sum(
+            s.attrs["flops"] for s in kernels if s.name == "gpu.batched_gemm"
+        ) == pytest.approx(sum(2.0 * m * m * k for m in orders), rel=1e-12)
+        spans = trace.by_name("feti.apply_group")
+        assert len(spans) == gop.n_groups
+        assert all(s.attrs["tier"] == "explicit" and s.attrs["k"] == k for s in spans)
+        assert sorted(s.attrs["m"] for s in spans) == sorted(set(orders))
+
+    assert np.allclose(gop.apply(lam[:, 0]), want[:, 0], rtol=0, atol=1e-12 * scale)
+
+
+def test_explicit_path_ignores_signature_and_builds_no_sparse_stacks():
+    """``signature=`` / ``union_fill_cap`` shape implicit groups only: the
+    explicit path groups by order whatever they say and never builds the
+    permuted gluing copies, fingerprints or union plans."""
+    from repro.feti.operator import GroupedDualOperator
+
+    op = _explicit_solver("jittered").operator
+    exact = GroupedDualOperator(op)
+    near = GroupedDualOperator(op, signature="near", union_fill_cap=0.5)
+    assert [g.members for g in near.groups] == [g.members for g in exact.groups]
+    assert all(g.tier == "explicit" for g in near.groups)
+    assert not hasattr(near, "_btp") and not hasattr(near, "_l")
+
+
+def test_implicit_and_explicit_operators_report_their_own_chain():
+    from repro.feti.operator import GroupedDualOperator
+
+    for approach, chain in (("impl_mkl", 6), ("expl_gpu_opt", 3)):
+        op = _feti_operator(approach=approach).operator
+        gop = GroupedDualOperator(op)
+        n_subs = op.decomposition.n_subdomains
+        assert op.explicit == (chain == 3)
+        assert gop.launches_per_application == chain * gop.n_groups
+        assert gop.sequential_launches_per_application == chain * n_subs

@@ -487,3 +487,23 @@ def test_symbolic_work_is_per_class_and_not_remembered_between_calls(monkeypatch
     assert 3 <= per_call[0]["search"] <= 9
     assert 1 <= per_call[0]["nd"] <= 3
     assert per_call[1] == per_call[0]
+
+
+def test_feti_preprocess_shares_orderings_and_changes_no_bit():
+    """``FetiSolver.preprocess`` runs without relabelings, on absolute
+    coordinates: congruent subdomains still hit the reuse scope (the key is
+    the canonical-frame bytes nested dissection bisects on), and ``perm``,
+    ``L`` and ``F̃`` equal a member-by-member run without a scope."""
+    from repro.feti.solver import FetiSolver
+
+    decomposition = decompose(heat_transfer_2d(48, dirichlet=("left", "right")), grid=(6, 6))
+    solver = FetiSolver(decomposition, approach="expl_gpu_opt")
+    with tracing() as tracer:
+        solver.preprocess()
+    counters = tracer.metrics.to_dict()["counters"]
+    assert counters["sparse.ordering.reused"] > 0
+    assert counters["sparse.ordering.reused"] + counters["sparse.ordering.computed"] == 36
+    for i, (sub, got) in enumerate(zip(decomposition.subdomains, solver.operator.locals)):
+        want = solver.approach.preprocess_subdomain(sub, reuse=None).local_op
+        _assert_same_factor(got.factor, want.factor, f"subdomain {i}")
+        _assert_bit_equal(got.f, want.f, f"subdomain {i}: F")
