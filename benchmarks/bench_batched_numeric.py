@@ -5,11 +5,11 @@ fingerprint classes collapsed by orientation-canonical relabeling into 3
 executed groups: 4 corners, 24 edge members, one interior class of 36) is
 assembled twice through the batch engine:
 
-* ``execution="per-member"`` — each member pays its own sequence of small
-  TRSM/SYRK kernel calls (the PR-1/2 behaviour), and
-* ``execution="grouped"`` — each fingerprint group runs end-to-end through
-  stacked batched kernels, **single-threaded** so the measured win comes
-  from batching alone, not parallelism.
+* ``execution="per-member"`` — each member is a stack of one and pays its
+  own sequence of small TRSM/SYRK kernel calls, and
+* ``execution="grouped"`` — each fingerprint group runs end-to-end as one
+  stack through the same kernels, **single-threaded** so the measured win
+  comes from batching alone, not parallelism.
 
 Reproduced claims: identical Schur complements (allclose at tight
 tolerance), per-group kernel launches shrink by the group size, and the

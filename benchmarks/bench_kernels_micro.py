@@ -2,7 +2,8 @@
 
 These exercise the actual NumPy/SciPy execution paths under
 pytest-benchmark with several rounds — the complement of the figure benches
-(which measure the simulated device model)."""
+(which measure the simulated device model).  The split variants take
+stacked operands; one subdomain is the stack of one."""
 
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from repro.core import (
     trsm_rhs_split,
 )
 from repro.gpu import A100_40GB, Executor
-from repro.sparse import cholesky, schur_augmented
+from repro.sparse import StackedCSC, cholesky, schur_augmented
 
 
 @pytest.fixture(scope="module")
@@ -58,12 +59,13 @@ def test_numeric_assembly_optimized_2d(benchmark, wl2d):
 def test_numeric_trsm_factor_split(benchmark, wl3d):
     bt_rows = wl3d.bt.tocsr()[wl3d.factor.perm].tocsc()
     col_perm, shape = stepped_permutation(bt_rows)
-    x0 = np.asarray(bt_rows[:, col_perm].todense())
+    x0 = np.asarray(bt_rows[:, col_perm].todense())[None]
+    l = StackedCSC.from_matrices([wl3d.factor.l])
 
     def run():
         x = x0.copy()
         trsm_factor_split(
-            Executor(A100_40GB), wl3d.factor.l, x, shape, by_size(500),
+            Executor(A100_40GB), l, x, shape, by_size(500),
             storage="dense", prune=True,
         )
         return x
@@ -74,12 +76,13 @@ def test_numeric_trsm_factor_split(benchmark, wl3d):
 def test_numeric_trsm_rhs_split(benchmark, wl3d):
     bt_rows = wl3d.bt.tocsr()[wl3d.factor.perm].tocsc()
     col_perm, shape = stepped_permutation(bt_rows)
-    x0 = np.asarray(bt_rows[:, col_perm].todense())
+    x0 = np.asarray(bt_rows[:, col_perm].todense())[None]
+    l = StackedCSC.from_matrices([wl3d.factor.l])
 
     def run():
         x = x0.copy()
         trsm_rhs_split(
-            Executor(A100_40GB), wl3d.factor.l, x, shape, by_size(1000),
+            Executor(A100_40GB), l, x, shape, by_size(1000),
             storage="sparse",
         )
         return x

@@ -17,8 +17,8 @@ The most common entry points are re-exported here lazily (so that importing
   population-scale assembly with symbolic-pattern reuse (see
   :mod:`repro.batch`).
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record.
+See docs/architecture.md for the system inventory and perf/README.md for
+the measured record.
 """
 
 from __future__ import annotations

@@ -3,7 +3,8 @@
 Stepped-shape column permutation of ``B̃^T``, split TRSM variants (RHS /
 factor splitting with pruning), split SYRK variants (input / output
 splitting), and the :class:`SchurAssembler` orchestrating them on a
-simulated CPU or GPU.
+simulated CPU or GPU.  Every variant takes stacked ``(group, …)`` operands;
+one subdomain is a stack of one.
 """
 
 from repro.core.assembler import (
@@ -30,20 +31,10 @@ from repro.core.stepped import (
     row_trails,
     stepped_permutation,
 )
-from repro.core.syrk_split import (
-    batched_syrk_input_split,
-    batched_syrk_orig,
-    batched_syrk_output_split,
-    syrk_input_split,
-    syrk_orig,
-    syrk_output_split,
-)
+from repro.core.syrk_split import syrk_input_split, syrk_orig, syrk_output_split
 from repro.core.trsm_split import (
     FACTOR_STORAGES,
     PruningPlan,
-    batched_trsm_factor_split,
-    batched_trsm_orig,
-    batched_trsm_rhs_split,
     trsm_factor_split,
     trsm_orig,
     trsm_rhs_split,
@@ -85,16 +76,10 @@ __all__ = [
     "trsm_orig",
     "trsm_rhs_split",
     "trsm_factor_split",
-    "batched_trsm_orig",
-    "batched_trsm_rhs_split",
-    "batched_trsm_factor_split",
     "FACTOR_STORAGES",
     "syrk_orig",
     "syrk_input_split",
     "syrk_output_split",
-    "batched_syrk_orig",
-    "batched_syrk_input_split",
-    "batched_syrk_output_split",
     "SweepPoint",
     "sweep_block_parameter",
     "best_point",

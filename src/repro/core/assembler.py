@@ -13,6 +13,11 @@ transposed gluing matrix ``B̃^T``, assembles the local dual operator
 4. SYRK (orig / input-split / output-split),
 5. permute the result back to the original multiplier order.
 
+Steps 2–5 are one body over a packed ``(group, n, m)`` stack; the three
+entry points only differ in how they pack it — one subdomain (a group of
+one), one fingerprint group, or one near class padded into its pattern
+union.
+
 Numerics are exact; time is simulated on the executor's device roofline
 plus the PCIe transfer model.  A breakdown per stage is returned so the
 benchmarks can reproduce the paper's per-kernel and whole-assembly figures.
@@ -27,19 +32,9 @@ import scipy.sparse as sp
 
 from repro.core.config import AssemblyConfig, default_config
 from repro.core.stepped import SteppedShape, stepped_permutation
-from repro.core.syrk_split import (
-    batched_syrk_input_split,
-    batched_syrk_orig,
-    batched_syrk_output_split,
-    syrk_input_split,
-    syrk_orig,
-    syrk_output_split,
-)
+from repro.core.syrk_split import syrk_input_split, syrk_orig, syrk_output_split
 from repro.core.trsm_split import (
     PruningPlan,
-    batched_trsm_factor_split,
-    batched_trsm_orig,
-    batched_trsm_rhs_split,
     trsm_factor_split,
     trsm_orig,
     trsm_rhs_split,
@@ -111,8 +106,8 @@ def prepare_pattern(
     """Build the pattern artifacts for one assembly.
 
     Single source of truth for the stepped-permutation branch, shared by
-    :meth:`SchurAssembler.assemble` and the batch engine so the two paths
-    cannot drift apart.  *bt_rows* is ``B̃^T`` with the factor's row
+    :class:`SchurAssembler` and the batch engine so the two paths cannot
+    drift apart.  *bt_rows* is ``B̃^T`` with the factor's row
     permutation already applied.  When *factor_pattern* (an object exposing
     the factor's sorted CSC ``indptr``/``indices``) is given and the
     configuration uses factor-split pruning, the pruning plan is built too;
@@ -204,7 +199,8 @@ class SchurAssembler:
         prepared: PreparedPattern | None = None,
         bt_rows: sp.spmatrix | None = None,
     ) -> SchurAssemblyResult:
-        """Assemble ``F = B K_reg^{-1} B^T`` for one subdomain.
+        """Assemble ``F = B K_reg^{-1} B^T`` for one subdomain — a group of
+        one through the stacked kernels.
 
         Parameters
         ----------
@@ -228,90 +224,9 @@ class SchurAssembler:
             permutes it once per item for the fingerprint and shares it
             here instead of paying the row permutation again.
         """
-        require(sp.issparse(bt), "bt must be sparse")
-        n = factor.n
-        require(bt.shape[0] == n, f"bt has {bt.shape[0]} rows, factor order is {n}")
-        m = bt.shape[1]
-        cfg = self.config
-        ex = executor if executor is not None else Executor(self.spec)
-        breakdown = {"transfer": 0.0, "permute": 0.0, "trsm": 0.0, "syrk": 0.0}
-        mark = ex.elapsed
-
-        # --- stepped permutation (host side) --------------------------------
-        if bt_rows is None:
-            bt_rows = bt.tocsr()[factor.perm].tocsc()
-        else:
-            require(
-                sp.issparse(bt_rows) and bt_rows.shape == bt.shape,
-                "bt_rows must be sparse with the same shape as bt",
-            )
-            bt_rows = bt_rows.tocsc()
-        if prepared is not None:
-            require(
-                prepared.shape.n_rows == n and prepared.shape.n_cols == m,
-                "prepared pattern does not match factor/bt dimensions",
-            )
-        else:
-            prepared = prepare_pattern(bt_rows, cfg)
-        col_perm = prepared.col_perm
-        shape = prepared.shape
-        plan = prepared.pruning_plan
-        x = np.asarray(bt_rows[:, col_perm].toarray(), dtype=np.float64)
-        # The column permutation + densification is a memory-traffic op.
-        ex.charge_bytes(2.0 * x.size * FLOAT64_BYTES)
-        breakdown["permute"] += ex.elapsed - mark
-        mark = ex.elapsed
-
-        # --- transfers (GPU only) -------------------------------------------
-        if self.transfer is not None:
-            h2d_bytes = csx_bytes(factor.nnz, n) + dense_bytes((n, m))
-            breakdown["transfer"] += self.transfer.time(h2d_bytes)
-
-        # --- TRSM -------------------------------------------------------------
-        if cfg.trsm_variant == "orig":
-            trsm_orig(ex, factor.l, x, storage=cfg.factor_storage)
-        elif cfg.trsm_variant == "rhs_split":
-            trsm_rhs_split(
-                ex, factor.l, x, shape, cfg.trsm_blocks, storage=cfg.factor_storage
-            )
-        else:
-            trsm_factor_split(
-                ex,
-                factor.l,
-                x,
-                shape,
-                cfg.trsm_blocks,
-                storage=cfg.factor_storage,
-                prune=cfg.prune,
-                plan=plan,
-            )
-        breakdown["trsm"] += ex.elapsed - mark
-        mark = ex.elapsed
-
-        # --- SYRK -------------------------------------------------------------
-        f_perm = np.zeros((m, m), dtype=np.float64)
-        if cfg.syrk_variant == "orig":
-            syrk_orig(ex, x, f_perm)
-        elif cfg.syrk_variant == "input_split":
-            syrk_input_split(ex, x, f_perm, shape, cfg.syrk_blocks)
-        else:
-            syrk_output_split(ex, x, f_perm, shape, cfg.syrk_blocks)
-        breakdown["syrk"] += ex.elapsed - mark
-        mark = ex.elapsed
-
-        # --- permute the SC back to the original multiplier order ------------
-        f = ex.symmetric_permute(f_perm, col_perm, inverse=True)
-        breakdown["permute"] += ex.elapsed - mark
-
-        elapsed = sum(breakdown.values())
-        return SchurAssemblyResult(
-            f=f,
-            elapsed=elapsed,
-            breakdown=breakdown,
-            shape=shape,
-            col_perm=col_perm,
-            y=x if keep_y else None,
-        )
+        return self._assemble_exact(
+            [factor], [bt], executor, keep_y, prepared, None if bt_rows is None else [bt_rows]
+        )[0]
 
     def assemble_group(
         self,
@@ -322,149 +237,27 @@ class SchurAssembler:
         prepared: PreparedPattern | None = None,
         bt_rows: list[sp.spmatrix] | None = None,
     ) -> list[SchurAssemblyResult]:
-        """Assemble one whole fingerprint group through batched kernels.
+        """Assemble one whole fingerprint group in one stack.
 
         All members must share the exact stored factor pattern and the exact
         (row-permuted) gluing pattern — the guarantee an equal
         :func:`~repro.batch.fingerprint.factor_fingerprint` gives; the
-        stacking validates it and raises otherwise.  The numerics are
-        stacked: one ``(group, n, m)`` RHS runs through batched TRSM/SYRK so
-        the group pays one kernel launch per step instead of one per member.
-        Results match :meth:`assemble` to tight floating-point tolerance
-        (BLAS association order differs inside the batched solves) and the
-        charged FLOPs/traffic are identical — only launches shrink.
+        stacking validates it and raises otherwise.  One ``(group, n, m)``
+        RHS runs through the TRSM/SYRK variants, so the group pays one kernel
+        launch per step instead of one per member.  Results match
+        :meth:`assemble` to tight floating-point tolerance (BLAS association
+        order differs inside the stacked triangular solves) and the charged
+        FLOPs/traffic are identical — only launches shrink.
 
         Each returned member's ``breakdown``/``elapsed`` is the group total
-        divided by the group size (batched kernels are indivisible; an equal
+        divided by the group size (a stacked kernel is indivisible; an equal
         share keeps per-member sums equal to the group cost).
 
         Parameters mirror :meth:`assemble`; *bt_rows* accepts the
         per-member ``bt.tocsr()[factor.perm]`` list the batch engine already
         computed for the fingerprints.
         """
-        g = len(factors)
-        require(g >= 1, "assemble_group needs at least one member")
-        require(len(bts) == g, "factors and bts must have the same length")
-        n = factors[0].n
-        require(all(f.n == n for f in factors), "group members must share the factor order")
-        for idx, bt in enumerate(bts):
-            require(sp.issparse(bt), f"member {idx}: bt must be sparse")
-            require(bt.shape == bts[0].shape, f"member {idx}: bt shape differs")
-        require(bts[0].shape[0] == n, f"bt has {bts[0].shape[0]} rows, factor order is {n}")
-        m = bts[0].shape[1]
-        cfg = self.config
-        ex = executor if executor is not None else Executor(self.spec)
-        breakdown = {"transfer": 0.0, "permute": 0.0, "trsm": 0.0, "syrk": 0.0}
-        mark = ex.elapsed
-
-        # --- stack the group (host side) ------------------------------------
-        if bt_rows is None:
-            bt_rows = [
-                bt.tocsr()[f.perm].tocsc() for f, bt in zip(factors, bts)
-            ]
-        else:
-            require(len(bt_rows) == g, "bt_rows must have one entry per member")
-            bt_rows = [b.tocsc() for b in bt_rows]
-        stacked_l = StackedCSC.from_matrices([f.l for f in factors])
-        if prepared is not None:
-            require(
-                prepared.shape.n_rows == n and prepared.shape.n_cols == m,
-                "prepared pattern does not match factor/bt dimensions",
-            )
-        else:
-            from repro.core.estimate import FactorPattern
-
-            prepared = prepare_pattern(
-                bt_rows[0], cfg, factor_pattern=FactorPattern.from_factor(factors[0])
-            )
-        col_perm = prepared.col_perm
-        shape = prepared.shape
-        plan = prepared.pruning_plan
-        # One stacked scatter permutes + densifies every member's RHS.
-        x_stack = stack_permuted_dense(bt_rows, col_perm)
-        ex.charge_bytes(2.0 * x_stack.size * FLOAT64_BYTES)
-        breakdown["permute"] += ex.elapsed - mark
-        mark = ex.elapsed
-
-        # --- transfers (GPU only): one stacked copy for the group -----------
-        if self.transfer is not None:
-            h2d_bytes = csx_bytes(stacked_l.nnz, n) + dense_bytes((n, m))
-            breakdown["transfer"] += self.transfer.time(g * h2d_bytes)
-
-        f_out = self._batched_trsm_syrk(
-            ex, stacked_l, x_stack, shape, plan, col_perm, breakdown
-        )
-
-        share = {k: v / g for k, v in breakdown.items()}
-        elapsed = sum(share.values())
-        return [
-            SchurAssemblyResult(
-                f=f_out[i],
-                elapsed=elapsed,
-                breakdown=dict(share),
-                shape=shape,
-                col_perm=col_perm,
-                # Copy: a view would pin the whole group stack through any
-                # single retained result.
-                y=x_stack[i].copy() if keep_y else None,
-            )
-            for i in range(g)
-        ]
-
-    def _batched_trsm_syrk(
-        self,
-        ex: Executor,
-        stacked_l: StackedCSC,
-        x_stack: np.ndarray,
-        shape: SteppedShape,
-        plan: PruningPlan | None,
-        col_perm: np.ndarray,
-        breakdown: dict[str, float],
-    ) -> np.ndarray:
-        """Batched TRSM → SYRK → inverse symmetric permute.
-
-        The shared kernel tail of :meth:`assemble_group` (exact stacked
-        patterns) and :meth:`assemble_union` (padded union patterns): the
-        kernels are pattern-driven, so the two paths differ only in how the
-        stacks were packed.  Mutates *x_stack* in place (the TRSM solution)
-        and accumulates the per-stage simulated seconds into *breakdown*.
-        """
-        cfg = self.config
-        g, _, m = x_stack.shape
-        mark = ex.elapsed
-        if cfg.trsm_variant == "orig":
-            batched_trsm_orig(ex, stacked_l, x_stack, storage=cfg.factor_storage)
-        elif cfg.trsm_variant == "rhs_split":
-            batched_trsm_rhs_split(
-                ex, stacked_l, x_stack, shape, cfg.trsm_blocks, storage=cfg.factor_storage
-            )
-        else:
-            batched_trsm_factor_split(
-                ex,
-                stacked_l,
-                x_stack,
-                shape,
-                cfg.trsm_blocks,
-                storage=cfg.factor_storage,
-                prune=cfg.prune,
-                plan=plan,
-            )
-        breakdown["trsm"] += ex.elapsed - mark
-        mark = ex.elapsed
-
-        f_stack = np.zeros((g, m, m), dtype=np.float64)
-        if cfg.syrk_variant == "orig":
-            batched_syrk_orig(ex, x_stack, f_stack)
-        elif cfg.syrk_variant == "input_split":
-            batched_syrk_input_split(ex, x_stack, f_stack, shape, cfg.syrk_blocks)
-        else:
-            batched_syrk_output_split(ex, x_stack, f_stack, shape, cfg.syrk_blocks)
-        breakdown["syrk"] += ex.elapsed - mark
-        mark = ex.elapsed
-
-        f_out = ex.batched_symmetric_permute(f_stack, col_perm, inverse=True)
-        breakdown["permute"] += ex.elapsed - mark
-        return f_out
+        return self._assemble_exact(factors, bts, executor, keep_y, prepared, bt_rows)
 
     def assemble_union(
         self,
@@ -474,13 +267,13 @@ class SchurAssembler:
         executor: Executor | None = None,
         prepared: PreparedPattern | None = None,
     ) -> list[SchurAssemblyResult]:
-        """Assemble one *near class* through padded batched kernels.
+        """Assemble one *near class* in one padded stack.
 
         The value-tolerant tier between :meth:`assemble_group` and
-        per-member :meth:`assemble`: members need not share a pattern — or
-        even a size.  Every member embeds at the identity prefix of the
-        class's structural union (:func:`repro.sparse.canonical.union_plan`),
-        so the stacked factor is ``[[L, 0], [0, I]]`` and the stacked RHS
+        :meth:`assemble`: members need not share a pattern — or even a
+        size.  Every member embeds at the identity prefix of the class's
+        structural union (:func:`repro.sparse.canonical.union_plan`), so the
+        stacked factor is ``[[L, 0], [0, I]]`` and the stacked RHS
         ``[[X], [0]]``; the padding positions hold explicit zeros (and a
         unit diagonal), which forward substitution and the Gram product map
         to structural zeros — each member's Schur complement is recovered
@@ -518,60 +311,140 @@ class SchurAssembler:
             len(bt_rows) == g and plan.group == g,
             "factors, bt_rows and plan members must agree",
         )
-        n, m = plan.shape
-        cfg = self.config
-        ex = executor if executor is not None else Executor(self.spec)
-        breakdown = {"transfer": 0.0, "permute": 0.0, "trsm": 0.0, "syrk": 0.0}
-        mark = ex.elapsed
-
-        # --- pad the class into the union pattern (host side) ----------------
-        bt_rows = [b.tocsc() for b in bt_rows]
         stacked_l = stack_into_union(
             [f.l for f in factors], plan.l_union, pad_diagonal=True
         )
-        if prepared is not None:
-            require(
-                prepared.shape.n_rows == n and prepared.shape.n_cols == m,
-                "prepared pattern does not match the union shape",
-            )
-        else:
-            from repro.core.estimate import FactorPattern
+        if prepared is None:
+            prepared = prepare_pattern(plan.bt_union.pattern_csc(), self.config)
+        x_stack = stack_union_permuted_dense(bt_rows, plan.bt_union, prepared.col_perm)
+        results = self._assemble_stack(stacked_l, x_stack, prepared, executor)
+        # Host-side slice back to each member's own multiplier block — like
+        # the engine's unrelabel step, a pure uncharged gather.
+        for res, embedding in zip(results, plan.embeddings):
+            res.f = embedding.extract_sc(res.f)
+        return results
 
-            prepared = prepare_pattern(
-                plan.bt_union.pattern_csc(),
-                cfg,
-                factor_pattern=FactorPattern(
-                    n=n,
-                    indptr=np.asarray(plan.l_union.indptr),
-                    indices=np.asarray(plan.l_union.indices),
-                ),
-            )
-        col_perm = prepared.col_perm
-        x_stack = stack_union_permuted_dense(bt_rows, plan.bt_union, col_perm)
+    def _assemble_exact(
+        self,
+        factors: list[CholeskyFactor],
+        bts: list[sp.spmatrix],
+        executor: Executor | None,
+        keep_y: bool,
+        prepared: PreparedPattern | None,
+        bt_rows: list[sp.spmatrix] | None,
+    ) -> list[SchurAssemblyResult]:
+        """Stack members that share their exact patterns (host side) — the
+        packing :meth:`assemble` (a group of one) and :meth:`assemble_group`
+        have in common."""
+        g = len(factors)
+        require(g >= 1, "assemble_group needs at least one member")
+        require(len(bts) == g, "factors and bts must have the same length")
+        n = factors[0].n
+        require(all(f.n == n for f in factors), "group members must share the factor order")
+        for idx, bt in enumerate(bts):
+            require(sp.issparse(bt), f"member {idx}: bt must be sparse")
+            require(bt.shape == bts[0].shape, f"member {idx}: bt shape differs")
+        require(bts[0].shape[0] == n, f"bt has {bts[0].shape[0]} rows, factor order is {n}")
+        if bt_rows is None:
+            bt_rows = [bt.tocsr()[f.perm].tocsc() for f, bt in zip(factors, bts)]
+        else:
+            require(len(bt_rows) == g, "bt_rows must have one entry per member")
+            for b, bt in zip(bt_rows, bts):
+                require(
+                    sp.issparse(b) and b.shape == bt.shape,
+                    "bt_rows must be sparse with the same shape as bt",
+                )
+            bt_rows = [b.tocsc() for b in bt_rows]
+        stacked_l = StackedCSC.from_matrices([f.l for f in factors])
+        if prepared is None:
+            prepared = prepare_pattern(bt_rows[0], self.config)
+        # One stacked scatter permutes + densifies every member's RHS.
+        x_stack = stack_permuted_dense(bt_rows, prepared.col_perm)
+        return self._assemble_stack(stacked_l, x_stack, prepared, executor, keep_y)
+
+    def _assemble_stack(
+        self,
+        stacked_l: StackedCSC,
+        x_stack: np.ndarray,
+        prepared: PreparedPattern,
+        executor: Executor | None,
+        keep_y: bool = False,
+    ) -> list[SchurAssemblyResult]:
+        """The one assembler body: transfer → TRSM → SYRK → inverse
+        symmetric permute over a packed stack, one result per member.
+
+        The kernels are pattern-driven, so exact stacks and padded union
+        stacks differ only in how they were packed.  Mutates *x_stack* in
+        place (the TRSM solution).
+        """
+        cfg = self.config
+        g, n, m = x_stack.shape
+        shape, col_perm = prepared.shape, prepared.col_perm
+        require(
+            shape.n_rows == n and shape.n_cols == m,
+            "prepared pattern does not match factor/bt dimensions",
+        )
+        ex = executor if executor is not None else Executor(self.spec)
+        breakdown = {"transfer": 0.0, "permute": 0.0, "trsm": 0.0, "syrk": 0.0}
+        mark = ex.elapsed
+        # The column permutation + densification is a memory-traffic op.
         ex.charge_bytes(2.0 * x_stack.size * FLOAT64_BYTES)
         breakdown["permute"] += ex.elapsed - mark
+        mark = ex.elapsed
 
-        # --- transfers (GPU only): every member ships the padded size --------
+        # --- transfers (GPU only): one stacked copy for the group -----------
         if self.transfer is not None:
             h2d_bytes = csx_bytes(stacked_l.nnz, n) + dense_bytes((n, m))
             breakdown["transfer"] += self.transfer.time(g * h2d_bytes)
 
-        f_out = self._batched_trsm_syrk(
-            ex, stacked_l, x_stack, prepared.shape, prepared.pruning_plan,
-            col_perm, breakdown,
-        )
+        # --- TRSM -------------------------------------------------------------
+        if cfg.trsm_variant == "orig":
+            trsm_orig(ex, stacked_l, x_stack, storage=cfg.factor_storage)
+        elif cfg.trsm_variant == "rhs_split":
+            trsm_rhs_split(
+                ex, stacked_l, x_stack, shape, cfg.trsm_blocks, storage=cfg.factor_storage
+            )
+        else:
+            trsm_factor_split(
+                ex,
+                stacked_l,
+                x_stack,
+                shape,
+                cfg.trsm_blocks,
+                storage=cfg.factor_storage,
+                prune=cfg.prune,
+                plan=prepared.pruning_plan,
+            )
+        breakdown["trsm"] += ex.elapsed - mark
+        mark = ex.elapsed
+
+        # --- SYRK -------------------------------------------------------------
+        f_stack = np.zeros((g, m, m), dtype=np.float64)
+        if cfg.syrk_variant == "orig":
+            syrk_orig(ex, x_stack, f_stack)
+        elif cfg.syrk_variant == "input_split":
+            syrk_input_split(ex, x_stack, f_stack, shape, cfg.syrk_blocks)
+        else:
+            syrk_output_split(ex, x_stack, f_stack, shape, cfg.syrk_blocks)
+        breakdown["syrk"] += ex.elapsed - mark
+        mark = ex.elapsed
+
+        # --- permute the SCs back to the original multiplier order -----------
+        f_out = ex.symmetric_permute(f_stack, col_perm, inverse=True)
+        breakdown["permute"] += ex.elapsed - mark
 
         share = {k: v / g for k, v in breakdown.items()}
         elapsed = sum(share.values())
-        # Host-side slice back to each member's own multiplier block — like
-        # the engine's unrelabel step, a pure uncharged gather.
         return [
             SchurAssemblyResult(
-                f=plan.embeddings[i].extract_sc(f_out[i]),
+                f=f_out[i],
                 elapsed=elapsed,
                 breakdown=dict(share),
-                shape=prepared.shape,
+                shape=shape,
                 col_perm=col_perm,
+                # Copy: a view would pin the whole group stack through any
+                # single retained result.
+                y=x_stack[i].copy() if keep_y else None,
             )
             for i in range(g)
         ]

@@ -16,9 +16,10 @@ All variants produce the *full* symmetric ``F`` numerically (BLAS would fill
 one triangle; mirroring is free in the cost model, matching the library
 behaviour of handling symmetric matrices by reference to one triangle).
 
-The ``batched_*`` twins run a whole fingerprint group per call on
-``(group, n, m)`` stacks: identical FLOPs and traffic to ``group``
-per-member runs, one launch per batched kernel (cuBLAS ``*Batched``).
+Every variant runs on ``(group, n, m)`` stacks — a whole fingerprint group
+per call, a single subdomain being the stack of one: identical FLOPs and
+traffic to ``group`` stacks of one, one launch per kernel (cuBLAS
+``*Batched``).
 """
 
 from __future__ import annotations
@@ -31,116 +32,49 @@ from repro.gpu.runtime import Executor
 from repro.util import require
 
 
-def syrk_orig(ex: Executor, y: np.ndarray, f: np.ndarray) -> None:
+def syrk_orig(ex: Executor, y_stack: np.ndarray, f_stack: np.ndarray) -> None:
     """Baseline SYRK of [9]: one full-size update, no sparsity use."""
-    _check(y, f)
-    ex.syrk(y, f, beta=0.0)
+    _check(y_stack, f_stack)
+    ex.syrk(y_stack, f_stack, beta=0.0)
 
 
 def syrk_input_split(
     ex: Executor,
-    y: np.ndarray,
-    f: np.ndarray,
+    y_stack: np.ndarray,
+    f_stack: np.ndarray,
     shape: SteppedShape,
     blocks: BlockSpec,
 ) -> None:
     """Input-splitting SYRK (Fig. 4a): split the *k* dimension."""
-    _check(y, f, shape)
-    f[...] = 0.0
+    _check(y_stack, f_stack, shape)
+    f_stack[...] = 0.0
     for k0, k1 in blocks.resolve(shape.n_rows):
         w = shape.width_below(k1)
         if w == 0:
             continue  # block row is entirely structurally zero
-        ex.syrk(y[k0:k1, :w], f[:w, :w], beta=1.0)
+        ex.syrk(y_stack[:, k0:k1, :w], f_stack[:, :w, :w], beta=1.0)
 
 
 def syrk_output_split(
     ex: Executor,
-    y: np.ndarray,
-    f: np.ndarray,
+    y_stack: np.ndarray,
+    f_stack: np.ndarray,
     shape: SteppedShape,
     blocks: BlockSpec,
 ) -> None:
     """Output-splitting SYRK (Fig. 4b): split the output block rows."""
-    _check(y, f, shape)
+    _check(y_stack, f_stack, shape)
     n = shape.n_rows
-    f[...] = 0.0
+    f_stack[...] = 0.0
     for c0, c1 in blocks.resolve(shape.n_cols):
         k0 = shape.first_pivot(c0)
         if k0 >= n:
             continue  # all-zero input columns contribute nothing
         # Diagonal block from an inner SYRK over the block column.
-        ex.syrk(y[k0:, c0:c1], f[c0:c1, c0:c1], beta=0.0)
+        ex.syrk(y_stack[:, k0:, c0:c1], f_stack[:, c0:c1, c0:c1], beta=0.0)
         if c0 > 0:
             # Off-diagonal strip: C_B = C^T B in the paper's notation.
             ex.gemm(
-                y[k0:, c0:c1],
-                y[k0:, :c0],
-                f[c0:c1, :c0],
-                beta=0.0,
-                trans_a=True,
-            )
-            # Mirror into the upper triangle (free: BLAS keeps one triangle).
-            f[:c0, c0:c1] = f[c0:c1, :c0].T
-
-
-def _check(y: np.ndarray, f: np.ndarray, shape: SteppedShape | None = None) -> None:
-    require(y.ndim == 2, "Y must be 2-D")
-    m = y.shape[1]
-    require(f.shape == (m, m), f"F must be ({m}, {m})")
-    if shape is not None:
-        require(
-            y.shape == (shape.n_rows, shape.n_cols),
-            "Y does not match the stepped shape",
-        )
-
-
-# ---------------------------------------------------------------------------
-# batched twins: one fingerprint group per call
-# ---------------------------------------------------------------------------
-
-
-def batched_syrk_orig(ex: Executor, y_stack: np.ndarray, f_stack: np.ndarray) -> None:
-    """Batched baseline SYRK: one full-size stacked update for the group."""
-    _check_stack(y_stack, f_stack)
-    ex.batched_syrk(y_stack, f_stack, beta=0.0)
-
-
-def batched_syrk_input_split(
-    ex: Executor,
-    y_stack: np.ndarray,
-    f_stack: np.ndarray,
-    shape: SteppedShape,
-    blocks: BlockSpec,
-) -> None:
-    """Batched input-splitting SYRK (Fig. 4a) over a stacked group."""
-    _check_stack(y_stack, f_stack, shape)
-    f_stack[...] = 0.0
-    for k0, k1 in blocks.resolve(shape.n_rows):
-        w = shape.width_below(k1)
-        if w == 0:
-            continue  # block row is entirely structurally zero
-        ex.batched_syrk(y_stack[:, k0:k1, :w], f_stack[:, :w, :w], beta=1.0)
-
-
-def batched_syrk_output_split(
-    ex: Executor,
-    y_stack: np.ndarray,
-    f_stack: np.ndarray,
-    shape: SteppedShape,
-    blocks: BlockSpec,
-) -> None:
-    """Batched output-splitting SYRK (Fig. 4b) over a stacked group."""
-    _check_stack(y_stack, f_stack, shape)
-    n = shape.n_rows
-    f_stack[...] = 0.0
-    for c0, c1 in blocks.resolve(shape.n_cols):
-        k0 = shape.first_pivot(c0)
-        if k0 >= n:
-            continue  # all-zero input columns contribute nothing
-        ex.batched_syrk(y_stack[:, k0:, c0:c1], f_stack[:, c0:c1, c0:c1], beta=0.0)
-        if c0 > 0:
-            ex.batched_gemm(
                 y_stack[:, k0:, c0:c1],
                 y_stack[:, k0:, :c0],
                 f_stack[:, c0:c1, :c0],
@@ -151,7 +85,7 @@ def batched_syrk_output_split(
             f_stack[:, :c0, c0:c1] = f_stack[:, c0:c1, :c0].transpose(0, 2, 1)
 
 
-def _check_stack(
+def _check(
     y_stack: np.ndarray, f_stack: np.ndarray, shape: SteppedShape | None = None
 ) -> None:
     require(y_stack.ndim == 3, "Y must be a (group, n, m) stack")
@@ -168,7 +102,4 @@ __all__ = [
     "syrk_orig",
     "syrk_input_split",
     "syrk_output_split",
-    "batched_syrk_orig",
-    "batched_syrk_input_split",
-    "batched_syrk_output_split",
 ]

@@ -17,12 +17,13 @@ pivots.  Three variants:
 All variants execute through an :class:`~repro.gpu.runtime.Executor`, so the
 identical code path is priced on a GPU or CPU roofline.
 
-Each variant also has a ``batched_*`` twin that runs a whole fingerprint
-group at once: the control flow (block loop, skip decisions, pruning rows)
-depends only on the *shared* pattern, so one pass over the blocks issues one
-batched kernel per step for the entire ``(group, n, m)`` RHS stack.  The
-batched twins charge exactly the same FLOPs and memory traffic as ``group``
-per-member runs — only the launch count shrinks by the group size.
+Every variant takes the factor as a :class:`~repro.sparse.stacked.StackedCSC`
+and the RHS as a ``(group, n, m)`` stack: the control flow (block loop, skip
+decisions, pruning rows) depends only on the *shared* pattern, so one pass
+over the blocks issues one kernel per step for the whole stack.  A stack
+charges exactly the FLOPs and memory traffic of ``group`` stacks of one —
+only the launch count shrinks by the group size; a single subdomain is the
+stack of one.
 """
 
 from __future__ import annotations
@@ -30,13 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.core.blocks import BlockSpec
 from repro.core.stepped import SteppedShape
 from repro.gpu.runtime import Executor
 from repro.sparse.stacked import StackedCSC
-from repro.sparse.triangular import TriangularSolver
 from repro.util import require
 
 FACTOR_STORAGES = ("sparse", "dense")
@@ -95,129 +94,8 @@ class PruningPlan:
         return cls(n=n, blocks=tuple(resolved), rows=tuple(rows), nnz=tuple(nnz))
 
 
-def trsm_orig(
-    ex: Executor,
-    l: sp.csc_matrix,
-    x: np.ndarray,
-    storage: str = "sparse",
-    solver: TriangularSolver | None = None,
-) -> None:
-    """Baseline TRSM of [9]: one full-size solve, no RHS-sparsity use."""
+def _check_stacks(l: StackedCSC, x_stack: np.ndarray, shape: SteppedShape | None, storage: str) -> int:
     require(storage in FACTOR_STORAGES, f"unknown factor storage {storage!r}")
-    if storage == "dense":
-        ld = ex.densify(l)
-        ex.trsm_dense(ld, x)
-    else:
-        ex.trsm_sparse(l, x, solver=solver)
-
-
-def trsm_rhs_split(
-    ex: Executor,
-    l: sp.csc_matrix,
-    x: np.ndarray,
-    shape: SteppedShape,
-    blocks: BlockSpec,
-    storage: str = "sparse",
-) -> None:
-    """RHS-splitting TRSM (Fig. 3a).
-
-    Each column block ``[c0, c1)`` is solved with the subfactor
-    ``L[p:, p:]`` where ``p`` is the topmost pivot in the block — the rows
-    above ``p`` are structurally zero and forward substitution preserves
-    them.  Dense storage uses pointer arithmetic into the densified factor
-    (free); sparse storage must extract each subfactor (charged).
-    """
-    require(storage in FACTOR_STORAGES, f"unknown factor storage {storage!r}")
-    n = l.shape[0]
-    require(x.shape == (shape.n_rows, shape.n_cols), "RHS/shape mismatch")
-    require(shape.n_rows == n, "factor order must match RHS rows")
-    ld = ex.densify(l) if storage == "dense" else None
-    for c0, c1 in blocks.resolve(shape.n_cols):
-        p = shape.first_pivot(c0)
-        if p >= n:
-            continue  # entirely-zero columns
-        xsub = x[p:, c0:c1]
-        if storage == "dense":
-            ex.trsm_dense(ld[p:, p:], xsub)
-        else:
-            lsub = ex.extract_sparse_block(l, p, n, p, n)
-            ex.trsm_sparse(lsub, xsub)
-
-
-def trsm_factor_split(
-    ex: Executor,
-    l: sp.csc_matrix,
-    x: np.ndarray,
-    shape: SteppedShape,
-    blocks: BlockSpec,
-    storage: str = "dense",
-    prune: bool = True,
-    plan: PruningPlan | None = None,
-) -> None:
-    """Factor-splitting TRSM (Fig. 3b).
-
-    For each factor row block ``[r0, r1)``:
-
-    1. inner TRSM with the diagonal block ``L[r0:r1, r0:r1]`` on the top RHS
-       block restricted to its ``w`` nonzero columns (``w`` = number of
-       pivots above ``r1``),
-    2. GEMM: ``X[r1:, :w] -= L[r1:, r0:r1] @ X[r0:r1, :w]``.
-
-    With *prune* the GEMM runs only on the non-empty rows of the
-    sub-diagonal block (gather -> dense GEMM -> scatter-subtract).  An
-    optional precomputed :class:`PruningPlan` (from the batch pattern cache)
-    supplies the non-empty rows without rescanning the factor.
-    """
-    require(storage in FACTOR_STORAGES, f"unknown factor storage {storage!r}")
-    n = l.shape[0]
-    require(x.shape == (shape.n_rows, shape.n_cols), "RHS/shape mismatch")
-    require(shape.n_rows == n, "factor order must match RHS rows")
-    resolved = blocks.resolve(n)
-    if plan is not None:
-        require(plan.matches(n, resolved), "pruning plan does not match factor/blocks")
-    for bi, (r0, r1) in enumerate(resolved):
-        w = shape.width_below(r1)
-        if w == 0:
-            continue  # the whole top block is structurally zero
-        ldiag = ex.extract_sparse_block(l, r0, r1, r0, r1)
-        xtop = x[r0:r1, :w]
-        if storage == "dense":
-            ld = ex.densify(ldiag)
-            ex.trsm_dense(ld, xtop)
-        else:
-            ex.trsm_sparse(ldiag, xtop)
-        if r1 >= n:
-            continue
-        lsub = ex.extract_sparse_block(l, r1, n, r0, r1)
-        if lsub.nnz == 0:
-            continue
-        if prune:
-            lsub_csr = lsub.tocsr()
-            if plan is not None:
-                require(
-                    lsub.nnz == plan.nnz[bi],
-                    "pruning plan does not match the factor pattern",
-                )
-                nonempty = plan.rows[bi]
-            else:
-                nonempty = np.flatnonzero(np.diff(lsub_csr.indptr)).astype(np.intp)
-            a_packed = ex.densify(sp.csr_matrix(lsub_csr[nonempty]))
-            tmp = np.zeros((nonempty.size, w))
-            ex.gemm(a_packed, xtop, tmp, beta=0.0)
-            ex.scatter_add_rows(x[r1:, :w], nonempty, tmp, sign=-1.0)
-        elif storage == "dense":
-            ld_sub = ex.densify(lsub)
-            ex.gemm(ld_sub, xtop, x[r1:, :w], alpha=-1.0, beta=1.0)
-        else:
-            ex.spmm(lsub, xtop, x[r1:, :w], alpha=-1.0, beta=1.0)
-
-
-# ---------------------------------------------------------------------------
-# batched twins: one fingerprint group per call
-# ---------------------------------------------------------------------------
-
-
-def _check_stacks(l: StackedCSC, x_stack: np.ndarray, shape: SteppedShape | None) -> int:
     n = l.shape[0]
     require(l.shape == (n, n), "stacked factor must be square")
     require(
@@ -234,20 +112,17 @@ def _check_stacks(l: StackedCSC, x_stack: np.ndarray, shape: SteppedShape | None
     return n
 
 
-def batched_trsm_orig(
-    ex: Executor, l: StackedCSC, x_stack: np.ndarray, storage: str = "sparse"
-) -> None:
-    """Batched baseline TRSM: one full-size stacked solve for the group."""
-    require(storage in FACTOR_STORAGES, f"unknown factor storage {storage!r}")
-    _check_stacks(l, x_stack, None)
+def trsm_orig(ex: Executor, l: StackedCSC, x_stack: np.ndarray, storage: str = "sparse") -> None:
+    """Baseline TRSM of [9]: one full-size solve, no RHS-sparsity use."""
+    _check_stacks(l, x_stack, None, storage)
     if storage == "dense":
-        ld = ex.batched_densify(l)
-        ex.batched_trsm_dense(ld, x_stack)
+        ld = ex.densify(l)
+        ex.trsm_dense(ld, x_stack)
     else:
-        ex.batched_trsm_sparse(l, x_stack)
+        ex.trsm_sparse(l, x_stack)
 
 
-def batched_trsm_rhs_split(
+def trsm_rhs_split(
     ex: Executor,
     l: StackedCSC,
     x_stack: np.ndarray,
@@ -255,23 +130,29 @@ def batched_trsm_rhs_split(
     blocks: BlockSpec,
     storage: str = "sparse",
 ) -> None:
-    """Batched RHS-splitting TRSM (Fig. 3a) over a stacked group."""
-    require(storage in FACTOR_STORAGES, f"unknown factor storage {storage!r}")
-    n = _check_stacks(l, x_stack, shape)
-    ld = ex.batched_densify(l) if storage == "dense" else None
+    """RHS-splitting TRSM (Fig. 3a).
+
+    Each column block ``[c0, c1)`` is solved with the subfactor
+    ``L[p:, p:]`` where ``p`` is the topmost pivot in the block — the rows
+    above ``p`` are structurally zero and forward substitution preserves
+    them.  Dense storage uses pointer arithmetic into the densified factor
+    (free); sparse storage must extract each subfactor (charged).
+    """
+    n = _check_stacks(l, x_stack, shape, storage)
+    ld = ex.densify(l) if storage == "dense" else None
     for c0, c1 in blocks.resolve(shape.n_cols):
         p = shape.first_pivot(c0)
         if p >= n:
             continue  # entirely-zero columns
         xsub = x_stack[:, p:, c0:c1]
         if storage == "dense":
-            ex.batched_trsm_dense(ld[:, p:, p:], xsub)
+            ex.trsm_dense(ld[:, p:, p:], xsub)
         else:
-            lsub = ex.batched_extract_block(l, p, n, p, n)
-            ex.batched_trsm_sparse(lsub, xsub)
+            lsub = ex.extract_block(l, p, n, p, n)
+            ex.trsm_sparse(lsub, xsub)
 
 
-def batched_trsm_factor_split(
+def trsm_factor_split(
     ex: Executor,
     l: StackedCSC,
     x_stack: np.ndarray,
@@ -281,15 +162,23 @@ def batched_trsm_factor_split(
     prune: bool = True,
     plan: PruningPlan | None = None,
 ) -> None:
-    """Batched factor-splitting TRSM (Fig. 3b) over a stacked group.
+    """Factor-splitting TRSM (Fig. 3b).
 
-    Mirrors :func:`trsm_factor_split` block by block; pruning gathers the
-    shared non-empty rows once per block and packs every member's
-    sub-diagonal block in a single stacked densify.
+    For each factor row block ``[r0, r1)``:
+
+    1. inner TRSM with the diagonal block ``L[r0:r1, r0:r1]`` on the top RHS
+       block restricted to its ``w`` nonzero columns (``w`` = number of
+       pivots above ``r1``),
+    2. GEMM: ``X[r1:, :w] -= L[r1:, r0:r1] @ X[r0:r1, :w]``.
+
+    With *prune* the GEMM runs only on the non-empty rows of the
+    sub-diagonal block (gather -> dense GEMM -> scatter-subtract): the
+    shared non-empty rows are gathered once per block and every member's
+    sub-diagonal block is packed in a single stacked densify.  An optional
+    precomputed :class:`PruningPlan` (from the batch pattern cache) supplies
+    the non-empty rows without rescanning the factor.
     """
-    require(storage in FACTOR_STORAGES, f"unknown factor storage {storage!r}")
-    n = _check_stacks(l, x_stack, shape)
-    g = l.group
+    n = _check_stacks(l, x_stack, shape, storage)
     resolved = blocks.resolve(n)
     if plan is not None:
         require(plan.matches(n, resolved), "pruning plan does not match factor/blocks")
@@ -297,16 +186,16 @@ def batched_trsm_factor_split(
         w = shape.width_below(r1)
         if w == 0:
             continue  # the whole top block is structurally zero
-        ldiag = ex.batched_extract_block(l, r0, r1, r0, r1)
+        ldiag = ex.extract_block(l, r0, r1, r0, r1)
         xtop = x_stack[:, r0:r1, :w]
         if storage == "dense":
-            ld = ex.batched_densify(ldiag)
-            ex.batched_trsm_dense(ld, xtop)
+            ld = ex.densify(ldiag)
+            ex.trsm_dense(ld, xtop)
         else:
-            ex.batched_trsm_sparse(ldiag, xtop)
+            ex.trsm_sparse(ldiag, xtop)
         if r1 >= n:
             continue
-        lsub = ex.batched_extract_block(l, r1, n, r0, r1)
+        lsub = ex.extract_block(l, r1, n, r0, r1)
         if lsub.nnz == 0:
             continue
         if prune:
@@ -318,24 +207,21 @@ def batched_trsm_factor_split(
                 nonempty = plan.rows[bi]
             else:
                 nonempty = lsub.nonempty_rows()
-            a_packed = ex.batched_densify(lsub, rows=nonempty)
-            tmp = np.zeros((g, nonempty.size, w))
-            ex.batched_gemm(a_packed, xtop, tmp, beta=0.0)
-            ex.batched_scatter_add_rows(x_stack[:, r1:, :w], nonempty, tmp, sign=-1.0)
+            a_packed = ex.densify(lsub, rows=nonempty)
+            tmp = np.zeros((l.group, nonempty.size, w))
+            ex.gemm(a_packed, xtop, tmp, beta=0.0)
+            ex.scatter_add_rows(x_stack[:, r1:, :w], nonempty, tmp, sign=-1.0)
         elif storage == "dense":
-            ld_sub = ex.batched_densify(lsub)
-            ex.batched_gemm(ld_sub, xtop, x_stack[:, r1:, :w], alpha=-1.0, beta=1.0)
+            ld_sub = ex.densify(lsub)
+            ex.gemm(ld_sub, xtop, x_stack[:, r1:, :w], alpha=-1.0, beta=1.0)
         else:
-            ex.batched_spmm(lsub, xtop, x_stack[:, r1:, :w], alpha=-1.0, beta=1.0)
+            ex.spmm(lsub, xtop, x_stack[:, r1:, :w], alpha=-1.0, beta=1.0)
 
 
 __all__ = [
     "trsm_orig",
     "trsm_rhs_split",
     "trsm_factor_split",
-    "batched_trsm_orig",
-    "batched_trsm_rhs_split",
-    "batched_trsm_factor_split",
     "PruningPlan",
     "FACTOR_STORAGES",
 ]

@@ -22,6 +22,7 @@ from repro.dd.subdomain import Subdomain
 from repro.obs import get_tracer
 from repro.sparse.cholesky import CholeskyFactor, cholesky
 from repro.sparse.ordering import compute_ordering
+from repro.sparse.stacked import StackedCSC, stack_into_union
 from repro.util import require
 
 
@@ -217,29 +218,32 @@ class _ApplyGroup:
     (union-padded on the near tier), ``l_stack`` the stored factors, and
     ``ids_stack`` the members' global multiplier ids (padded ids point at
     multiplier 0 and carry exact structural zeros, so the scatter-add is
-    a no-op there).
+    a no-op there).  A group of one also carries its member's cached
+    ``CholeskyFactor.solver()``, so the SuperLU analysis is paid once per
+    factor, not once per application.
     """
 
     members: list[int]
-    l_stack: object  # StackedCSC
-    bt_stack: object  # StackedCSC
+    l_stack: StackedCSC
+    bt_stack: StackedCSC
     ids_stack: np.ndarray
     tier: str  # "exact" | "union"
+    solver: object = None  # TriangularSolver of a group of one
 
 
 class GroupedDualOperator:
     """Batched per-iteration ``F`` application across groups of subdomains.
 
     Wraps a :class:`DualOperator` and applies *what it holds* through the
-    batched kernels of :mod:`repro.gpu.kernels`, **one launch per kernel
+    stacked kernels of :mod:`repro.gpu.kernels`, **one launch per kernel
     step per group** instead of one per subdomain.  Which chain runs is
     read off the operator (:attr:`DualOperator.explicit`), never asked for:
 
     **Explicit** — every local operator is an
     :class:`ExplicitLocalOperator`: the assembled ``F̃_i`` are stacked into
     ``(G, m, m)`` arrays, one group per dual order ``m``, and an
-    application is gather → batched GEMM → additive scatter, 3 launches
-    per order class.  The stack is the only resident copy of the Schur
+    application is gather → GEMM → additive scatter, 3 launches per order
+    class.  The stack is the only resident copy of the Schur
     complements (each local operator's ``f`` is rebound to its row view).
     Dense blocks of one order always stack, so *signature* and
     *union_fill_cap* have nothing to decide here: no fingerprint, permuted
@@ -262,7 +266,8 @@ class GroupedDualOperator:
       :attr:`fill_ratio <repro.sparse.canonical.UnionPlan.fill_ratio>`
       exceeds *union_fill_cap* fall back to their exact-pattern subgroups.
 
-    The numerics are identical to the per-subdomain path up to BLAS
+    :meth:`apply_panel_sequential` is the launch-policy comparator: the
+    same chain over groups of one.  The numerics agree up to BLAS
     association order; per-member FLOPs and traffic are identical *by
     construction* on the explicit path and the exact tier (same cost
     formulas over the same shapes and patterns), which the solver
@@ -285,6 +290,7 @@ class GroupedDualOperator:
         self.signature = signature
         self.explicit = base.explicit
         self._ids = [sub.multiplier_ids for sub in base.decomposition.subdomains]
+        self._singletons = None  # groups of one, built on first sequential use
         if self.explicit:
             self.groups = self._explicit_groups()
         else:
@@ -299,25 +305,25 @@ class GroupedDualOperator:
             by_order.setdefault(op.f.shape[0], []).append(i)
         groups = []
         for members in by_order.values():
-            f_stack = np.stack([ops[i].f for i in members])
+            grp = self._explicit_group(members)
             # Rebind to row views: the stack stays the only resident copy.
             for row, i in enumerate(members):
-                ops[i].f = f_stack[row]
-            groups.append(
-                _ExplicitGroup(
-                    members=members,
-                    f_stack=f_stack,
-                    ids_stack=np.stack([self._ids[i] for i in members]),
-                )
-            )
+                ops[i].f = grp.f_stack[row]
+            groups.append(grp)
         return groups
+
+    def _explicit_group(self, members: list[int]) -> _ExplicitGroup:
+        return _ExplicitGroup(
+            members=members,
+            f_stack=np.stack([self.base.locals[i].f for i in members]),
+            ids_stack=np.stack([self._ids[i] for i in members]),
+        )
 
     def _implicit_groups(
         self, signature: str, union_fill_cap: float
     ) -> list[_ApplyGroup]:
         # Lazy imports: repro.batch imports feti-adjacent modules.
         from repro.batch.fingerprint import factor_fingerprint, near_fingerprint
-        from repro.sparse.stacked import StackedCSC
 
         dec = self.base.decomposition
         factors = [op.factor for op in self.base.locals]
@@ -337,9 +343,9 @@ class GroupedDualOperator:
         groups: list[_ApplyGroup] = []
         for members in by_key.values():
             if signature == "exact" or self._patterns_equal(members):
-                groups.append(self._exact_group(members, StackedCSC))
+                groups.append(self._exact_group(members))
             else:
-                groups.extend(self._union_groups(members, union_fill_cap, StackedCSC))
+                groups.extend(self._union_groups(members, union_fill_cap))
         return groups
 
     def _patterns_equal(self, members: list[int]) -> bool:
@@ -356,20 +362,22 @@ class GroupedDualOperator:
             for i in members[1:]
         )
 
-    def _exact_group(self, members: list[int], stacked_cls) -> _ApplyGroup:
+    def _exact_group(self, members: list[int]) -> _ApplyGroup:
         return _ApplyGroup(
             members=members,
-            l_stack=stacked_cls.from_matrices([self._l[i] for i in members]),
-            bt_stack=stacked_cls.from_matrices([self._btp[i] for i in members]),
+            l_stack=StackedCSC.from_matrices([self._l[i] for i in members]),
+            bt_stack=StackedCSC.from_matrices([self._btp[i] for i in members]),
             ids_stack=np.stack([self._ids[i] for i in members]),
             tier="exact",
+            solver=(
+                self.base.locals[members[0]].factor.solver()
+                if len(members) == 1
+                else None
+            ),
         )
 
-    def _union_groups(
-        self, members: list[int], fill_cap: float, stacked_cls
-    ) -> list[_ApplyGroup]:
+    def _union_groups(self, members: list[int], fill_cap: float) -> list[_ApplyGroup]:
         from repro.sparse.canonical import union_plan
-        from repro.sparse.stacked import stack_into_union
 
         plan = union_plan(
             [self._l[i] for i in members], [self._btp[i] for i in members]
@@ -383,7 +391,7 @@ class GroupedDualOperator:
                     self._btp[i].shape, self._btp[i].indices.tobytes(),
                 )
                 sub.setdefault(key, []).append(i)
-            return [self._exact_group(g, stacked_cls) for g in sub.values()]
+            return [self._exact_group(g) for g in sub.values()]
         m_max = plan.shape[1]
         ids_stack = np.zeros((len(members), m_max), dtype=np.intp)
         for row, i in enumerate(members):
@@ -431,37 +439,38 @@ class GroupedDualOperator:
 
     def apply_panel(self, lam: np.ndarray) -> np.ndarray:
         """``Q = F Λ`` on a multiplier panel — one kernel chain per group."""
+        return self._apply_groups(self.groups, lam, self.executor)
+
+    def _apply_groups(self, groups: list, lam: np.ndarray, ex) -> np.ndarray:
         self._check_panel(lam)
         chain = self._explicit_chain if self.explicit else self._implicit_chain
         out = np.zeros_like(lam)
-        for grp in self.groups:
-            chain(grp, lam, out)
+        for grp in groups:
+            chain(ex, grp, lam, out)
         return out
 
-    def _explicit_chain(self, grp: _ExplicitGroup, lam: np.ndarray, out: np.ndarray) -> None:
-        ex = self.executor
+    def _explicit_chain(self, ex, grp: _ExplicitGroup, lam: np.ndarray, out: np.ndarray) -> None:
         g, m, k = len(grp.members), grp.f_stack.shape[1], lam.shape[1]
         with get_tracer().span("feti.apply_group", members=g, tier=grp.tier, m=m, k=k):
-            gathered = ex.batched_panel_gather(lam, grp.ids_stack)
+            gathered = ex.panel_gather(lam, grp.ids_stack)
             contrib = np.empty((g, m, k))
-            ex.batched_gemm(grp.f_stack, gathered, contrib, beta=0.0)
-            ex.batched_panel_scatter_add(out, grp.ids_stack, contrib)
+            ex.gemm(grp.f_stack, gathered, contrib, beta=0.0)
+            ex.panel_scatter_add(out, grp.ids_stack, contrib)
 
-    def _implicit_chain(self, grp: _ApplyGroup, lam: np.ndarray, out: np.ndarray) -> None:
-        ex = self.executor
+    def _implicit_chain(self, ex, grp: _ApplyGroup, lam: np.ndarray, out: np.ndarray) -> None:
         g, k = len(grp.members), lam.shape[1]
         n, m = grp.bt_stack.shape
         with get_tracer().span(
             "feti.apply_group", members=g, tier=grp.tier, n=n, m=m, k=k
         ):
-            gathered = ex.batched_panel_gather(lam, grp.ids_stack)
+            gathered = ex.panel_gather(lam, grp.ids_stack)
             t = np.zeros((g, n, k))
-            ex.batched_spmm(grp.bt_stack, gathered, t, beta=0.0)
-            ex.batched_trsm_sparse(grp.l_stack, t)
-            ex.batched_trsm_sparse(grp.l_stack, t, trans=True)
+            ex.spmm(grp.bt_stack, gathered, t, beta=0.0)
+            ex.trsm_sparse(grp.l_stack, t, solver=grp.solver)
+            ex.trsm_sparse(grp.l_stack, t, trans=True, solver=grp.solver)
             contrib = np.zeros((g, m, k))
-            ex.batched_spmm(grp.bt_stack, t, contrib, beta=0.0, trans_a=True)
-            ex.batched_panel_scatter_add(out, grp.ids_stack, contrib)
+            ex.spmm(grp.bt_stack, t, contrib, beta=0.0, trans_a=True)
+            ex.panel_scatter_add(out, grp.ids_stack, contrib)
 
     def apply(self, lam: np.ndarray) -> np.ndarray:
         """Single-vector ``F lam`` through the panel path (k = 1)."""
@@ -469,34 +478,16 @@ class GroupedDualOperator:
         return self.apply_panel(lam[:, None])[:, 0]
 
     def apply_panel_sequential(self, lam: np.ndarray, executor) -> np.ndarray:
-        """Per-subdomain comparator: same kernel chain, one member per launch.
+        """Per-subdomain comparator: the same chain over groups of one.
 
-        Charges the identical per-member kernels (gather, GEMM, scatter-add
-        on the explicit path; gather, SPMM, TRSM pair, transposed SPMM,
-        scatter-add on the implicit one) to *executor* so ledgers are
-        directly comparable with the grouped path.
+        Every subdomain is its own group (built once, on first use), so the
+        identical kernels run with one member per launch and charge
+        *executor* ledgers directly comparable with the grouped path.
         """
-        self._check_panel(lam)
-        k = lam.shape[1]
-        out = np.zeros_like(lam)
-        if self.explicit:
-            for op, ids in zip(self.base.locals, self._ids):
-                v = executor.gather_rows(lam, ids)
-                c = np.empty((ids.size, k))
-                executor.gemm(op.f, v, c, beta=0.0)
-                executor.scatter_add_rows(out, ids, c)
-            return out
-        for l, btp, ids in zip(self._l, self._btp, self._ids):
-            n = l.shape[0]
-            v = executor.gather_rows(lam, ids)
-            t = np.zeros((n, k))
-            executor.spmm(btp, v, t, beta=0.0)
-            executor.trsm_sparse(l, t)
-            executor.trsm_sparse(l, t, trans=True)
-            c = np.zeros((ids.size, k))
-            executor.spmm(btp, t, c, beta=0.0, trans_a=True)
-            executor.scatter_add_rows(out, ids, c)
-        return out
+        if self._singletons is None:
+            make = self._explicit_group if self.explicit else self._exact_group
+            self._singletons = [make([i]) for i in range(len(self.base.locals))]
+        return self._apply_groups(self._singletons, lam, executor)
 
     def recover_solution(self, lam: np.ndarray, alpha: np.ndarray) -> list[np.ndarray]:
         return self.base.recover_solution(lam, alpha)

@@ -189,14 +189,14 @@ class StackedPreconditioner:
         for k_stack, bt_stack, ids_stack in self.groups:
             g = ids_stack.shape[0]
             n, m = bt_stack.shape
-            gathered = ex.batched_panel_gather(panel, ids_stack)
+            gathered = ex.panel_gather(panel, ids_stack)
             t = np.zeros((g, n, k))
-            ex.batched_spmm(bt_stack, gathered, t, beta=0.0)
+            ex.spmm(bt_stack, gathered, t, beta=0.0)
             kt = np.zeros((g, n, k))
-            ex.batched_spmm(k_stack, t, kt, beta=0.0)
+            ex.spmm(k_stack, t, kt, beta=0.0)
             contrib = np.zeros((g, m, k))
-            ex.batched_spmm(bt_stack, kt, contrib, beta=0.0, trans_a=True)
-            ex.batched_panel_scatter_add(out, ids_stack, contrib)
+            ex.spmm(bt_stack, kt, contrib, beta=0.0, trans_a=True)
+            ex.panel_scatter_add(out, ids_stack, contrib)
         return out if w.ndim == 2 else out[:, 0]
 
 

@@ -2,7 +2,7 @@
 
 Replaces the paper's CUDA/cuBLAS/cuSPARSE stack: kernels execute their exact
 numerics with NumPy/SciPy while a calibrated roofline model accounts
-simulated time (see DESIGN.md, "Hardware/substrate substitutions").
+simulated time (see docs/architecture.md, "gpu").
 """
 
 from repro.gpu.costmodel import (

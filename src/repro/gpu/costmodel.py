@@ -5,7 +5,7 @@ Numerics and timing are decoupled throughout the library: every kernel in
 :class:`KernelCost`; a :class:`DeviceSpec` then prices the cost.  The same
 algorithm can therefore be timed on an A100 roofline and on an EPYC-core
 roofline without touching the numerics — the substitution documented in
-DESIGN.md.
+docs/architecture.md.
 """
 
 from __future__ import annotations

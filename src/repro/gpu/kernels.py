@@ -8,35 +8,37 @@ see :mod:`repro.gpu.runtime`.
 
 The kernel set mirrors what the paper's implementation calls through
 cuBLAS/cuSPARSE and MKL: dense/sparse TRSM, SYRK, GEMM, SPMM, row
-gather/scatter (pruning), and column permutations.
+gather/scatter (pruning and the dual-operator panels), sub-block extraction,
+densification and the symmetric permutation.
 
-The ``batched_*`` family operates on whole fingerprint groups at once:
-``(group, rows, cols)`` dense stacks and :class:`~repro.sparse.stacked.StackedCSC`
-value stacks.  Each batched call executes the same numerics as ``group``
-per-member calls through broadcasted 3-D NumPy operations and charges the
-same FLOPs and memory traffic, but only **one** kernel launch — the cuBLAS
-``*Batched`` pricing (see :meth:`~repro.gpu.costmodel.KernelCost.batched`).
-The batched TRSM is a blocked forward substitution: stacked ``(group, b, b)``
-diagonal solves via ``np.linalg.solve`` followed by broadcasted GEMM updates.
+There is **one** kernel family and it is stacked: dense operands are
+``(group, rows, cols)`` arrays, sparse operands are
+:class:`~repro.sparse.stacked.StackedCSC` value stacks over one shared
+pattern.  A call charges ``group`` times the per-member FLOPs and memory
+traffic but only **one** launch — the cuBLAS ``*Batched`` pricing (see
+:meth:`~repro.gpu.costmodel.KernelCost.batched`).  A single subdomain is a
+stack of one: batching is a launch policy of the caller, not a second
+algorithm.  Only the two triangular solves look at the group size of the
+operand they are handed: a stack of one goes to the per-matrix library
+routine (LAPACK ``trtrs``, SuperLU), a larger stack through a blocked
+substitution in broadcasted 3-D NumPy operations (stacked ``(group, b, b)``
+diagonal solves via ``np.linalg.solve`` followed by broadcasted GEMM
+updates).
 
-The batched facade is what :meth:`repro.core.assembler.SchurAssembler.assemble_group`
-drives for one canonical class of subdomains — and what
-:meth:`~repro.core.assembler.SchurAssembler.assemble_union` drives for one
-*near* class padded into its structural pattern union: the kernels are
-pattern-driven, so padded stacks (``[[L, 0], [0, I]]`` factors with
-explicit structural zeros) run unchanged and price the padding fill
-faithfully — every padded entry is charged like a real one, which is why
-the batch engine guards the union tier with a fill-ratio cap
-(:data:`repro.batch.engine.DEFAULT_UNION_FILL_CAP`).  ``docs/batching.md``
-describes the grouped execution path end to end, ``docs/pipeline.md`` the
-per-kernel roles inside one assembly.
+The kernels are pattern-driven, so the union-padded stacks of
+:meth:`~repro.core.assembler.SchurAssembler.assemble_union`
+(``[[L, 0], [0, I]]`` factors with explicit structural zeros) run unchanged
+and price the padding fill faithfully — every padded entry is charged like
+a real one, which is why the batch engine guards the union tier with a
+fill-ratio cap (:data:`repro.batch.engine.DEFAULT_UNION_FILL_CAP`).
+``docs/batching.md`` describes the grouped execution path end to end,
+``docs/pipeline.md`` the per-kernel roles inside one assembly.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
 from repro.gpu.costmodel import (
     FLOAT64_BYTES,
@@ -55,290 +57,64 @@ from repro.util import (
     trsm_sparse_flops,
 )
 
-
-def trsm_dense(l_dense: np.ndarray, x: np.ndarray, trans: bool = False) -> KernelCost:
-    """In-place dense TRSM: ``x <- L^{-1} x`` (or ``L^{-T} x`` with *trans*).
-
-    *l_dense* is the lower-triangular factor (a dense view); *x* is
-    overwritten with the solution, matching the in-place TRSM convention of
-    §3.2.
-    """
-    n = l_dense.shape[0]
-    require(l_dense.shape == (n, n), "factor must be square")
-    require(x.shape[0] == n, "RHS row count mismatch")
-    m = 1 if x.ndim == 1 else x.shape[1]
-    x[...] = scipy.linalg.solve_triangular(
-        l_dense, x, lower=True, trans="T" if trans else "N", check_finite=False
-    )
-    return KernelCost(
-        flops=trsm_dense_flops(n, m),
-        bytes_moved=dense_bytes((n, n)) / 2.0 + 2.0 * dense_bytes((n, m)),
-        launches=1,
-        char_dim=float(min(n, m)) if min(n, m) > 0 else 1.0,
-    )
-
-
-def trsm_sparse(
-    l: sp.spmatrix,
-    x: np.ndarray,
-    trans: bool = False,
-    solver: TriangularSolver | None = None,
-) -> KernelCost:
-    """In-place sparse-factor TRSM: ``x <- L^{-1} x`` with ``L`` in CSR/CSC.
-
-    A prebuilt :class:`TriangularSolver` may be supplied to amortise the
-    (zero-fill) analysis across calls, as persistent GPU workspaces do in
-    the paper's implementation.
-    """
-    n = l.shape[0]
-    require(x.shape[0] == n, "RHS row count mismatch")
-    m = 1 if x.ndim == 1 else x.shape[1]
-    if solver is None:
-        solver = TriangularSolver(l)
-    x[...] = solver.solve(x, transpose=trans)
-    return KernelCost(
-        flops=trsm_sparse_flops(l.nnz, m),
-        bytes_moved=csx_bytes(l.nnz, n) + 2.0 * dense_bytes((n, m)),
-        launches=1,
-        char_dim=float(m),
-        sparse=True,
-    )
-
-
-def syrk(
-    y: np.ndarray,
-    c: np.ndarray,
-    alpha: float = 1.0,
-    beta: float = 1.0,
-) -> KernelCost:
-    """``C <- beta C + alpha Y^T Y`` (symmetric rank-k update, full matrix).
-
-    BLAS SYRK only touches one triangle; we materialise both halves (the
-    numbers are identical) but charge the one-triangle FLOP count, like the
-    library call would.
-    """
-    k, n = y.shape if y.ndim == 2 else (y.shape[0], 1)
-    require(c.shape == (n, n), "output must be (n, n)")
-    update = y.T @ y
-    if beta == 0.0:
-        c[...] = alpha * update
-    else:
-        c *= beta
-        c += alpha * update
-    return KernelCost(
-        flops=syrk_flops(n, k),
-        bytes_moved=dense_bytes((k, n)) + dense_bytes((n, n)),
-        launches=1,
-        char_dim=float(min(n, k)) if min(n, k) > 0 else 1.0,
-    )
-
-
-def gemm(
-    a: np.ndarray,
-    b: np.ndarray,
-    c: np.ndarray,
-    alpha: float = 1.0,
-    beta: float = 1.0,
-    trans_a: bool = False,
-) -> KernelCost:
-    """``C <- beta C + alpha op(A) B`` with dense operands."""
-    op_a = a.T if trans_a else a
-    m, k = op_a.shape
-    k2, n = b.shape
-    require(k == k2, f"inner dimensions differ: {k} vs {k2}")
-    require(c.shape == (m, n), f"output must be ({m}, {n})")
-    update = op_a @ b
-    if beta == 0.0:
-        c[...] = alpha * update
-    else:
-        c *= beta
-        c += alpha * update
-    return KernelCost(
-        flops=gemm_flops(m, n, k),
-        bytes_moved=dense_bytes((m, k), (k, n)) + 2.0 * dense_bytes((m, n)),
-        launches=1,
-        char_dim=float(min(m, n, k)) if min(m, n, k) > 0 else 1.0,
-    )
-
-
-def spmm(
-    a: sp.spmatrix,
-    b: np.ndarray,
-    c: np.ndarray,
-    alpha: float = 1.0,
-    beta: float = 1.0,
-    trans_a: bool = False,
-) -> KernelCost:
-    """``C <- beta C + alpha op(A) B`` with sparse ``A`` and dense ``B``.
-
-    With *trans_a* the operand is applied transposed (``A^T B``) without
-    materialising the transpose — cuSPARSE's ``SPMM`` op mode.  The cost is
-    the same stored matrix streamed once, so FLOPs and traffic match the
-    non-transposed application of the same ``A``.
-    """
-    p, q = a.shape
-    inner, rows_out = (p, q) if trans_a else (q, p)
-    require(b.shape[0] == inner, "inner dimension mismatch")
-    n = 1 if b.ndim == 1 else b.shape[1]
-    update = (a.T @ b) if trans_a else (a @ b)
-    if beta == 0.0:
-        c[...] = alpha * update
-    else:
-        c *= beta
-        c += alpha * update
-    return KernelCost(
-        flops=spmm_flops(a.nnz, n),
-        bytes_moved=csx_bytes(a.nnz, p)
-        + dense_bytes((inner, n))
-        + 2.0 * dense_bytes((rows_out, n)),
-        launches=1,
-        char_dim=float(n),
-        sparse=True,
-    )
-
-
-def gather_rows(x: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, KernelCost]:
-    """Pack selected rows into a contiguous matrix (the *pruning* gather)."""
-    out = np.ascontiguousarray(x[rows])
-    nbytes = 2.0 * out.size * FLOAT64_BYTES
-    return out, KernelCost(
-        flops=0.0, bytes_moved=nbytes, launches=1, char_dim=float(max(out.shape[-1] if out.ndim > 1 else 1, 1)), sparse=True
-    )
-
-
-def scatter_add_rows(target: np.ndarray, rows: np.ndarray, values: np.ndarray, sign: float = 1.0) -> KernelCost:
-    """``target[rows] += sign * values`` (the pruning scatter)."""
-    require(values.shape[0] == rows.shape[0], "row count mismatch")
-    target[rows] += sign * values
-    nbytes = 3.0 * values.size * FLOAT64_BYTES
-    return KernelCost(
-        flops=float(values.size),
-        bytes_moved=nbytes,
-        launches=1,
-        char_dim=float(max(values.shape[-1] if values.ndim > 1 else 1, 1)),
-        sparse=True,
-    )
-
-
-def extract_sparse_block(
-    l: sp.csc_matrix, r0: int, r1: int, c0: int, c1: int
-) -> tuple[sp.csc_matrix, KernelCost]:
-    """Extract ``L[r0:r1, c0:c1]`` as CSC (sparse subfactor extraction, §3.2)."""
-    block = sp.csc_matrix(l[r0:r1, c0:c1])
-    return block, KernelCost(
-        flops=0.0,
-        bytes_moved=2.0 * csx_bytes(block.nnz, max(c1 - c0, 1)),
-        launches=1,
-        char_dim=1.0,
-        sparse=True,
-    )
-
-
-def densify(a: sp.spmatrix) -> tuple[np.ndarray, KernelCost]:
-    """Sparse -> dense conversion (the *dense factor storage* setting)."""
-    out = a.toarray()
-    return out, KernelCost(
-        flops=0.0,
-        bytes_moved=csx_bytes(a.nnz, a.shape[1]) + out.size * FLOAT64_BYTES,
-        launches=1,
-        char_dim=1.0,
-        sparse=True,
-    )
-
-
-def permute_columns(x: np.ndarray, perm: np.ndarray, inverse: bool = False) -> tuple[np.ndarray, KernelCost]:
-    """Column permutation of a dense matrix (stepped-shape pre/post step)."""
-    require(x.ndim == 2, "x must be 2-D")
-    require(perm.size == x.shape[1], "permutation length mismatch")
-    if inverse:
-        out = np.empty_like(x)
-        out[:, perm] = x
-    else:
-        out = x[:, perm]
-    nbytes = 2.0 * x.size * FLOAT64_BYTES
-    return out, KernelCost(flops=0.0, bytes_moved=nbytes, launches=1, char_dim=float(x.shape[0]))
-
-
-def symmetric_permute(f: np.ndarray, perm: np.ndarray, inverse: bool = True) -> tuple[np.ndarray, KernelCost]:
-    """Symmetric permutation of the assembled SC back to the original LM order."""
-    require(f.ndim == 2 and f.shape[0] == f.shape[1], "F must be square")
-    if inverse:
-        out = np.empty_like(f)
-        out[np.ix_(perm, perm)] = f
-    else:
-        out = f[np.ix_(perm, perm)]
-    nbytes = 2.0 * f.size * FLOAT64_BYTES
-    return out, KernelCost(flops=0.0, bytes_moved=nbytes, launches=1, char_dim=float(f.shape[0]))
-
-
-# ---------------------------------------------------------------------------
-# batched kernels: one launch per whole fingerprint group
-# ---------------------------------------------------------------------------
-
-#: Diagonal-block size of the blocked batched forward substitution.
+#: Diagonal-block size of the blocked substitution stacks of several
+#: members run through.
 BATCHED_TRSM_BLOCK = 64
 
 
-def _check_batched(stack: np.ndarray, name: str) -> int:
+def _group(stack: np.ndarray, name: str) -> int:
     require(stack.ndim == 3, f"{name} must be a (group, rows, cols) stack")
     require(stack.shape[0] >= 1, f"{name} must stack at least one member")
     return int(stack.shape[0])
 
 
-def _blocked_forward_substitution(
-    l_stack: np.ndarray, x_stack: np.ndarray, block: int
-) -> None:
-    """In-place ``X_g <- L_g^{-1} X_g`` over stacked lower factors.
+def _accumulate(c_stack: np.ndarray, update: np.ndarray, alpha: float, beta: float) -> None:
+    """``C <- beta C + alpha update`` in place."""
+    if beta == 0.0:
+        c_stack[...] = alpha * update
+    else:
+        c_stack *= beta
+        c_stack += alpha * update
+
+
+def _blocked_substitution(l_stack: np.ndarray, x_stack: np.ndarray, trans: bool) -> None:
+    """In-place ``X_g <- L_g^{-1} X_g`` (``L_g^{-T} X_g`` with *trans*) over
+    stacked lower factors.
 
     Blocked: a stacked ``(group, b, b)`` diagonal solve (``np.linalg.solve``
     batches over the leading axis) followed by a broadcasted GEMM pushing the
     solved block into the rows below — the classic right-looking TRSM
-    schedule, batched over the group.
+    schedule, batched over the group.  The transposed sweep walks the
+    diagonal blocks bottom-up, solves the upper block ``L^T`` and pushes the
+    solved block into the rows above.
     """
     n = l_stack.shape[1]
-    for i0 in range(0, n, block):
-        i1 = min(i0 + block, n)
-        x_stack[:, i0:i1] = np.linalg.solve(l_stack[:, i0:i1, i0:i1], x_stack[:, i0:i1])
-        if i1 < n:
-            x_stack[:, i1:] -= np.matmul(l_stack[:, i1:, i0:i1], x_stack[:, i0:i1])
-
-
-def _blocked_backward_substitution(
-    l_stack: np.ndarray, x_stack: np.ndarray, block: int
-) -> None:
-    """In-place ``X_g <- L_g^{-T} X_g`` over stacked lower factors.
-
-    The transpose sweep of :func:`_blocked_forward_substitution`: walk the
-    diagonal blocks bottom-up, solve the stacked ``(group, b, b)`` upper
-    block (``L^T``), then push the solved block into the rows above with a
-    broadcasted GEMM.
-    """
-    n = l_stack.shape[1]
-    starts = list(range(0, n, block))
-    for i0 in reversed(starts):
-        i1 = min(i0 + block, n)
-        x_stack[:, i0:i1] = np.linalg.solve(
-            l_stack[:, i0:i1, i0:i1].transpose(0, 2, 1), x_stack[:, i0:i1]
-        )
-        if i0 > 0:
-            x_stack[:, :i0] -= np.matmul(
-                l_stack[:, i0:i1, :i0].transpose(0, 2, 1), x_stack[:, i0:i1]
+    starts = range(0, n, BATCHED_TRSM_BLOCK)
+    for i0 in reversed(starts) if trans else starts:
+        i1 = min(i0 + BATCHED_TRSM_BLOCK, n)
+        if trans:
+            x_stack[:, i0:i1] = np.linalg.solve(
+                l_stack[:, i0:i1, i0:i1].transpose(0, 2, 1), x_stack[:, i0:i1]
             )
+            if i0 > 0:
+                x_stack[:, :i0] -= np.matmul(
+                    l_stack[:, i0:i1, :i0].transpose(0, 2, 1), x_stack[:, i0:i1]
+                )
+        else:
+            x_stack[:, i0:i1] = np.linalg.solve(l_stack[:, i0:i1, i0:i1], x_stack[:, i0:i1])
+            if i1 < n:
+                x_stack[:, i1:] -= np.matmul(l_stack[:, i1:, i0:i1], x_stack[:, i0:i1])
 
 
-def batched_trsm_dense(
-    l_stack: np.ndarray,
-    x_stack: np.ndarray,
-    block: int = BATCHED_TRSM_BLOCK,
-    trans: bool = False,
-) -> KernelCost:
-    """Batched in-place dense TRSM: ``x_g <- L_g^{-1} x_g`` for every member
+def trsm_dense(l_stack: np.ndarray, x_stack: np.ndarray, trans: bool = False) -> KernelCost:
+    """In-place dense TRSM: ``x_g <- L_g^{-1} x_g`` for every member
     (``L_g^{-T} x_g`` with *trans* — the backward sweep of a solve pair).
 
-    Same per-member FLOPs/traffic as :func:`trsm_dense`, one launch for the
-    whole stack (``cublasDtrsmBatched``).
+    *l_stack* holds the lower-triangular factors (dense views); *x_stack* is
+    overwritten with the solutions, matching the in-place TRSM convention of
+    §3.2.  One launch for the whole stack (``cublasDtrsmBatched``).
     """
-    g = _check_batched(l_stack, "l_stack")
+    g = _group(l_stack, "l_stack")
     n = l_stack.shape[1]
     require(l_stack.shape == (g, n, n), "stacked factors must be square")
     require(
@@ -346,10 +122,12 @@ def batched_trsm_dense(
         "RHS stack must match the factor stack",
     )
     m = x_stack.shape[2]
-    if trans:
-        _blocked_backward_substitution(l_stack, x_stack, block)
+    if g == 1:
+        x_stack[0] = scipy.linalg.solve_triangular(
+            l_stack[0], x_stack[0], lower=True, trans="T" if trans else "N", check_finite=False
+        )
     else:
-        _blocked_forward_substitution(l_stack, x_stack, block)
+        _blocked_substitution(l_stack, x_stack, trans)
     per = KernelCost(
         flops=trsm_dense_flops(n, m),
         bytes_moved=dense_bytes((n, n)) / 2.0 + 2.0 * dense_bytes((n, m)),
@@ -359,30 +137,35 @@ def batched_trsm_dense(
     return per.batched(g)
 
 
-def batched_trsm_sparse(
+def trsm_sparse(
     l: StackedCSC,
     x_stack: np.ndarray,
-    block: int = BATCHED_TRSM_BLOCK,
     trans: bool = False,
+    solver: TriangularSolver | None = None,
 ) -> KernelCost:
-    """Batched sparse-factor TRSM over a value stack sharing one pattern
+    """In-place sparse-factor TRSM over a value stack sharing one pattern
     (``L_g^{-T}`` with *trans*).
 
-    Priced like ``group`` :func:`trsm_sparse` calls in one launch; executed
-    as the blocked dense substitution on the densified stack (cost-model and
-    numerics are decoupled throughout, and the stored values are identical
-    either way up to BLAS association order).
+    A stack of one is solved by SuperLU; a prebuilt
+    :class:`TriangularSolver` of that member may be supplied to amortise the
+    (zero-fill) analysis across calls, as persistent GPU workspaces do in
+    the paper's implementation.  Larger stacks run the blocked dense
+    substitution on the densified stack (cost-model and numerics are
+    decoupled throughout, and the stored values are identical either way up
+    to BLAS association order).
     """
     n, n2 = l.shape
     require(n == n2, "stacked factor must be square")
-    g = _check_batched(x_stack, "x_stack")
+    g = _group(x_stack, "x_stack")
     require(g == l.group, "RHS stack must match the factor stack")
     require(x_stack.shape[1] == n, "RHS row count mismatch")
     m = x_stack.shape[2]
-    if trans:
-        _blocked_backward_substitution(l.toarray(), x_stack, block)
+    if g == 1:
+        if solver is None:
+            solver = TriangularSolver(l.member(0))
+        x_stack[0] = solver.solve(x_stack[0], transpose=trans)
     else:
-        _blocked_forward_substitution(l.toarray(), x_stack, block)
+        _blocked_substitution(l.toarray(), x_stack, trans)
     per = KernelCost(
         flops=trsm_sparse_flops(l.nnz, m),
         bytes_moved=csx_bytes(l.nnz, n) + 2.0 * dense_bytes((n, m)),
@@ -393,22 +176,23 @@ def batched_trsm_sparse(
     return per.batched(g)
 
 
-def batched_syrk(
+def syrk(
     y_stack: np.ndarray,
     c_stack: np.ndarray,
     alpha: float = 1.0,
     beta: float = 1.0,
 ) -> KernelCost:
-    """Batched ``C_g <- beta C_g + alpha Y_g^T Y_g`` (one launch per group)."""
-    g = _check_batched(y_stack, "y_stack")
+    """``C_g <- beta C_g + alpha Y_g^T Y_g`` (symmetric rank-k update, full
+    matrix, one launch per stack).
+
+    BLAS SYRK only touches one triangle; we materialise both halves (the
+    numbers are identical) but charge the one-triangle FLOP count, like the
+    library call would.
+    """
+    g = _group(y_stack, "y_stack")
     k, n = y_stack.shape[1], y_stack.shape[2]
     require(c_stack.shape == (g, n, n), "output stack must be (group, n, n)")
-    update = np.matmul(y_stack.transpose(0, 2, 1), y_stack)
-    if beta == 0.0:
-        c_stack[...] = alpha * update
-    else:
-        c_stack *= beta
-        c_stack += alpha * update
+    _accumulate(c_stack, np.matmul(y_stack.transpose(0, 2, 1), y_stack), alpha, beta)
     per = KernelCost(
         flops=syrk_flops(n, k),
         bytes_moved=dense_bytes((k, n)) + dense_bytes((n, n)),
@@ -418,7 +202,7 @@ def batched_syrk(
     return per.batched(g)
 
 
-def batched_gemm(
+def gemm(
     a_stack: np.ndarray,
     b_stack: np.ndarray,
     c_stack: np.ndarray,
@@ -426,19 +210,15 @@ def batched_gemm(
     beta: float = 1.0,
     trans_a: bool = False,
 ) -> KernelCost:
-    """Batched ``C_g <- beta C_g + alpha op(A_g) B_g`` (``cublasDgemmBatched``)."""
-    g = _check_batched(a_stack, "a_stack")
+    """``C_g <- beta C_g + alpha op(A_g) B_g`` with dense operands
+    (``cublasDgemmBatched``)."""
+    g = _group(a_stack, "a_stack")
     op_a = a_stack.transpose(0, 2, 1) if trans_a else a_stack
     m, k = op_a.shape[1], op_a.shape[2]
     require(b_stack.shape == (g, k, b_stack.shape[2]), "inner dimensions differ")
     n = b_stack.shape[2]
     require(c_stack.shape == (g, m, n), f"output stack must be (group, {m}, {n})")
-    update = np.matmul(op_a, b_stack)
-    if beta == 0.0:
-        c_stack[...] = alpha * update
-    else:
-        c_stack *= beta
-        c_stack += alpha * update
+    _accumulate(c_stack, np.matmul(op_a, b_stack), alpha, beta)
     per = KernelCost(
         flops=gemm_flops(m, n, k),
         bytes_moved=dense_bytes((m, k), (k, n)) + 2.0 * dense_bytes((m, n)),
@@ -448,7 +228,7 @@ def batched_gemm(
     return per.batched(g)
 
 
-def batched_spmm(
+def spmm(
     a: StackedCSC,
     b_stack: np.ndarray,
     c_stack: np.ndarray,
@@ -456,16 +236,18 @@ def batched_spmm(
     beta: float = 1.0,
     trans_a: bool = False,
 ) -> KernelCost:
-    """Batched ``C_g <- beta C_g + alpha op(A_g) B_g`` with one shared
-    sparsity (``A_g^T B_g`` with *trans_a*, cuSPARSE op-mode style).
+    """``C_g <- beta C_g + alpha op(A_g) B_g`` with one shared sparsity
+    ``A`` and dense ``B``.
 
-    The per-member cost is exactly :func:`spmm` of the same stored matrix —
-    the transpose streams the identical pattern — so the batched/sequential
-    FLOP and traffic parity the solve tests assert holds by construction.
+    With *trans_a* the operand is applied transposed (``A_g^T B_g``) without
+    materialising the transpose — cuSPARSE's ``SPMM`` op mode.  The cost is
+    the same stored matrix streamed once, so FLOPs and traffic match the
+    non-transposed application of the same ``A``.  Executed as a densified
+    ``matmul`` at every group size.
     """
     p, q = a.shape
     inner, rows_out = (p, q) if trans_a else (q, p)
-    g = _check_batched(b_stack, "b_stack")
+    g = _group(b_stack, "b_stack")
     require(g == a.group, "stacks must agree on the group size")
     require(b_stack.shape[1] == inner, "inner dimension mismatch")
     n = b_stack.shape[2]
@@ -475,12 +257,7 @@ def batched_spmm(
     )
     dense = a.toarray()
     op = dense.transpose(0, 2, 1) if trans_a else dense
-    update = np.matmul(op, b_stack)
-    if beta == 0.0:
-        c_stack[...] = alpha * update
-    else:
-        c_stack *= beta
-        c_stack += alpha * update
+    _accumulate(c_stack, np.matmul(op, b_stack), alpha, beta)
     per = KernelCost(
         flops=spmm_flops(a.nnz, n),
         bytes_moved=csx_bytes(a.nnz, p)
@@ -493,24 +270,20 @@ def batched_spmm(
     return per.batched(g)
 
 
-def batched_panel_gather(
-    x: np.ndarray, rows_stack: np.ndarray
-) -> tuple[np.ndarray, KernelCost]:
+def panel_gather(x: np.ndarray, rows_stack: np.ndarray) -> tuple[np.ndarray, KernelCost]:
     """Gather per-member row panels out of one shared dense panel.
 
     ``out[g] = x[rows_stack[g]]`` for every member in one launch — the
-    grouped dual-operator's restriction of the global multiplier panel to
-    each member's local multipliers.  Per-member cost equals
-    :func:`gather_rows` of the same rows.
+    dual operator's restriction of the global multiplier panel to each
+    member's local multipliers.
     """
     require(rows_stack.ndim == 2, "rows_stack must be (group, rows)")
     g = int(rows_stack.shape[0])
     require(g >= 1, "rows_stack must stack at least one member")
     out = np.ascontiguousarray(x[rows_stack])
-    per_size = float(out.size / g)
     per = KernelCost(
         flops=0.0,
-        bytes_moved=2.0 * per_size * FLOAT64_BYTES,
+        bytes_moved=2.0 * float(out.size / g) * FLOAT64_BYTES,
         launches=1,
         char_dim=float(max(out.shape[-1] if out.ndim > 2 else 1, 1)),
         sparse=True,
@@ -518,7 +291,19 @@ def batched_panel_gather(
     return out, per.batched(g)
 
 
-def batched_panel_scatter_add(
+def _scatter_cost(values_stack: np.ndarray, g: int) -> KernelCost:
+    per_size = float(values_stack.size / g)
+    per = KernelCost(
+        flops=per_size,
+        bytes_moved=3.0 * per_size * FLOAT64_BYTES,
+        launches=1,
+        char_dim=float(max(values_stack.shape[-1], 1)),
+        sparse=True,
+    )
+    return per.batched(g)
+
+
+def panel_scatter_add(
     target: np.ndarray,
     rows_stack: np.ndarray,
     values_stack: np.ndarray,
@@ -529,52 +314,37 @@ def batched_panel_scatter_add(
     The additive gather of per-member dual contributions into one global
     panel: one launch, duplicate multiplier rows across members accumulate
     (``np.add.at`` semantics — the atomic-add scatter a device would run).
-    Per-member cost equals :func:`scatter_add_rows` of the same rows.
     """
-    g = _check_batched(values_stack, "values_stack")
+    g = _group(values_stack, "values_stack")
     require(rows_stack.shape == values_stack.shape[:2], "rows/values mismatch")
     flat_rows = rows_stack.reshape(-1)
     flat_vals = values_stack.reshape(flat_rows.shape[0], -1)
     if sign != 1.0:
         flat_vals = sign * flat_vals
     np.add.at(target, flat_rows, flat_vals.reshape((flat_rows.shape[0],) + target.shape[1:]))
-    per_size = float(values_stack.size / g)
-    per = KernelCost(
-        flops=per_size,
-        bytes_moved=3.0 * per_size * FLOAT64_BYTES,
-        launches=1,
-        char_dim=float(max(values_stack.shape[-1], 1)),
-        sparse=True,
-    )
-    return per.batched(g)
+    return _scatter_cost(values_stack, g)
 
 
-def batched_scatter_add_rows(
+def scatter_add_rows(
     target_stack: np.ndarray,
     rows: np.ndarray,
     values_stack: np.ndarray,
     sign: float = 1.0,
 ) -> KernelCost:
-    """``target_g[rows] += sign * values_g`` for every member (one launch)."""
-    g = _check_batched(values_stack, "values_stack")
+    """``target_g[rows] += sign * values_g`` for every member (the pruning
+    scatter; *rows* are shared and unique)."""
+    g = _group(values_stack, "values_stack")
     require(target_stack.shape[0] == g, "stacks must agree on the group size")
     require(values_stack.shape[1] == rows.shape[0], "row count mismatch")
     target_stack[:, rows] += sign * values_stack
-    per_size = float(values_stack.size / g)
-    per = KernelCost(
-        flops=per_size,
-        bytes_moved=3.0 * per_size * FLOAT64_BYTES,
-        launches=1,
-        char_dim=float(max(values_stack.shape[-1], 1)),
-        sparse=True,
-    )
-    return per.batched(g)
+    return _scatter_cost(values_stack, g)
 
 
-def batched_extract_block(
+def extract_block(
     a: StackedCSC, r0: int, r1: int, c0: int, c1: int
 ) -> tuple[StackedCSC, KernelCost]:
-    """Extract ``A_g[r0:r1, c0:c1]`` from every member via the shared pattern."""
+    """Extract ``A_g[r0:r1, c0:c1]`` from every member via the shared
+    pattern (sparse subfactor extraction, §3.2)."""
     block = a.block(r0, r1, c0, c1)
     per = KernelCost(
         flops=0.0,
@@ -586,11 +356,9 @@ def batched_extract_block(
     return block, per.batched(a.group)
 
 
-def batched_densify(
-    a: StackedCSC, rows: np.ndarray | None = None
-) -> tuple[np.ndarray, KernelCost]:
-    """Stacked sparse -> dense conversion; with *rows*, the packed (pruned)
-    row subset — the batched equivalent of densifying ``A_g[rows]``."""
+def densify(a: StackedCSC, rows: np.ndarray | None = None) -> tuple[np.ndarray, KernelCost]:
+    """Stacked sparse -> dense conversion (the *dense factor storage*
+    setting); with *rows*, the packed (pruned) row subset ``A_g[rows]``."""
     out = a.toarray(rows=rows)
     per = KernelCost(
         flops=0.0,
@@ -602,11 +370,12 @@ def batched_densify(
     return out, per.batched(a.group)
 
 
-def batched_symmetric_permute(
+def symmetric_permute(
     f_stack: np.ndarray, perm: np.ndarray, inverse: bool = True
 ) -> tuple[np.ndarray, KernelCost]:
-    """Symmetric permutation of every member's assembled SC (one launch)."""
-    g = _check_batched(f_stack, "f_stack")
+    """Symmetric permutation of every member's assembled SC back to the
+    original LM order (one launch)."""
+    g = _group(f_stack, "f_stack")
     m = f_stack.shape[1]
     require(f_stack.shape == (g, m, m), "F stack members must be square")
     require(perm.size == m, "permutation length mismatch")
@@ -626,27 +395,16 @@ def batched_symmetric_permute(
 
 
 __all__ = [
+    "BATCHED_TRSM_BLOCK",
     "trsm_dense",
     "trsm_sparse",
     "syrk",
     "gemm",
     "spmm",
-    "gather_rows",
+    "panel_gather",
+    "panel_scatter_add",
     "scatter_add_rows",
-    "extract_sparse_block",
+    "extract_block",
     "densify",
-    "permute_columns",
     "symmetric_permute",
-    "BATCHED_TRSM_BLOCK",
-    "batched_trsm_dense",
-    "batched_trsm_sparse",
-    "batched_syrk",
-    "batched_gemm",
-    "batched_spmm",
-    "batched_panel_gather",
-    "batched_panel_scatter_add",
-    "batched_scatter_add_rows",
-    "batched_extract_block",
-    "batched_densify",
-    "batched_symmetric_permute",
 ]

@@ -18,7 +18,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.gpu import kernels
 from repro.gpu.costmodel import CostLedger, KernelCost
@@ -36,8 +35,11 @@ _EXECUTOR_SEQ = itertools.count()
 class Executor:
     """Synchronous kernel executor with simulated-time accounting.
 
-    All kernel methods execute the numerics immediately (NumPy/SciPy) and
-    charge the corresponding :class:`KernelCost` to the ledger.  Use one
+    All kernel methods execute the numerics immediately (NumPy/SciPy) on
+    stacked operands — ``(group, rows, cols)`` arrays and
+    :class:`~repro.sparse.stacked.StackedCSC` value stacks, a single
+    subdomain being a stack of one — and charge the corresponding
+    :class:`KernelCost` (one launch per call) to the ledger.  Use one
     executor per simulated resource (one GPU, one CPU core).
 
     With tracing enabled (:mod:`repro.obs`), every priced kernel becomes a
@@ -84,113 +86,28 @@ class Executor:
             kernel="copy",
         )
 
-    # -- kernel façade ------------------------------------------------------
+    # -- kernel façade: one method per kernel, stacked operands ------------
 
-    def trsm_dense(self, l: np.ndarray, x: np.ndarray, trans: bool = False) -> float:
-        return self.charge(kernels.trsm_dense(l, x, trans=trans), kernel="trsm_dense")
+    def trsm_dense(self, l_stack: np.ndarray, x_stack: np.ndarray, trans: bool = False) -> float:
+        return self.charge(kernels.trsm_dense(l_stack, x_stack, trans=trans), kernel="trsm_dense")
 
     def trsm_sparse(
         self,
-        l: sp.spmatrix,
-        x: np.ndarray,
+        l: StackedCSC,
+        x_stack: np.ndarray,
         trans: bool = False,
         solver: TriangularSolver | None = None,
     ) -> float:
-        return self.charge(kernels.trsm_sparse(l, x, trans=trans, solver=solver), kernel="trsm_sparse")
+        return self.charge(
+            kernels.trsm_sparse(l, x_stack, trans=trans, solver=solver), kernel="trsm_sparse"
+        )
 
-    def syrk(self, y: np.ndarray, c: np.ndarray, alpha: float = 1.0, beta: float = 1.0) -> float:
-        return self.charge(kernels.syrk(y, c, alpha=alpha, beta=beta), kernel="syrk")
+    def syrk(
+        self, y_stack: np.ndarray, c_stack: np.ndarray, alpha: float = 1.0, beta: float = 1.0
+    ) -> float:
+        return self.charge(kernels.syrk(y_stack, c_stack, alpha=alpha, beta=beta), kernel="syrk")
 
     def gemm(
-        self,
-        a: np.ndarray,
-        b: np.ndarray,
-        c: np.ndarray,
-        alpha: float = 1.0,
-        beta: float = 1.0,
-        trans_a: bool = False,
-    ) -> float:
-        return self.charge(
-            kernels.gemm(a, b, c, alpha=alpha, beta=beta, trans_a=trans_a),
-            kernel="gemm",
-        )
-
-    def spmm(
-        self,
-        a: sp.spmatrix,
-        b: np.ndarray,
-        c: np.ndarray,
-        alpha: float = 1.0,
-        beta: float = 1.0,
-        trans_a: bool = False,
-    ) -> float:
-        return self.charge(
-            kernels.spmm(a, b, c, alpha=alpha, beta=beta, trans_a=trans_a),
-            kernel="spmm",
-        )
-
-    def gather_rows(self, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        out, cost = kernels.gather_rows(x, rows)
-        self.charge(cost, kernel="gather_rows")
-        return out
-
-    def scatter_add_rows(self, target: np.ndarray, rows: np.ndarray, values: np.ndarray, sign: float = 1.0) -> float:
-        return self.charge(
-            kernels.scatter_add_rows(target, rows, values, sign=sign),
-            kernel="scatter_add_rows",
-        )
-
-    def extract_sparse_block(self, l: sp.csc_matrix, r0: int, r1: int, c0: int, c1: int) -> sp.csc_matrix:
-        block, cost = kernels.extract_sparse_block(l, r0, r1, c0, c1)
-        self.charge(cost, kernel="extract_sparse_block")
-        return block
-
-    def densify(self, a: sp.spmatrix) -> np.ndarray:
-        out, cost = kernels.densify(a)
-        self.charge(cost, kernel="densify")
-        return out
-
-    def permute_columns(self, x: np.ndarray, perm: np.ndarray, inverse: bool = False) -> np.ndarray:
-        out, cost = kernels.permute_columns(x, perm, inverse=inverse)
-        self.charge(cost, kernel="permute_columns")
-        return out
-
-    def symmetric_permute(self, f: np.ndarray, perm: np.ndarray, inverse: bool = True) -> np.ndarray:
-        out, cost = kernels.symmetric_permute(f, perm, inverse=inverse)
-        self.charge(cost, kernel="symmetric_permute")
-        return out
-
-    # -- batched kernel façade (whole fingerprint groups, one launch each) --
-
-    def batched_trsm_dense(
-        self, l_stack: np.ndarray, x_stack: np.ndarray, trans: bool = False
-    ) -> float:
-        return self.charge(
-            kernels.batched_trsm_dense(l_stack, x_stack, trans=trans),
-            kernel="batched_trsm_dense",
-        )
-
-    def batched_trsm_sparse(
-        self, l: StackedCSC, x_stack: np.ndarray, trans: bool = False
-    ) -> float:
-        return self.charge(
-            kernels.batched_trsm_sparse(l, x_stack, trans=trans),
-            kernel="batched_trsm_sparse",
-        )
-
-    def batched_syrk(
-        self,
-        y_stack: np.ndarray,
-        c_stack: np.ndarray,
-        alpha: float = 1.0,
-        beta: float = 1.0,
-    ) -> float:
-        return self.charge(
-            kernels.batched_syrk(y_stack, c_stack, alpha=alpha, beta=beta),
-            kernel="batched_syrk",
-        )
-
-    def batched_gemm(
         self,
         a_stack: np.ndarray,
         b_stack: np.ndarray,
@@ -200,13 +117,11 @@ class Executor:
         trans_a: bool = False,
     ) -> float:
         return self.charge(
-            kernels.batched_gemm(
-                a_stack, b_stack, c_stack, alpha=alpha, beta=beta, trans_a=trans_a
-            ),
-            kernel="batched_gemm",
+            kernels.gemm(a_stack, b_stack, c_stack, alpha=alpha, beta=beta, trans_a=trans_a),
+            kernel="gemm",
         )
 
-    def batched_spmm(
+    def spmm(
         self,
         a: StackedCSC,
         b_stack: np.ndarray,
@@ -216,18 +131,16 @@ class Executor:
         trans_a: bool = False,
     ) -> float:
         return self.charge(
-            kernels.batched_spmm(
-                a, b_stack, c_stack, alpha=alpha, beta=beta, trans_a=trans_a
-            ),
-            kernel="batched_spmm",
+            kernels.spmm(a, b_stack, c_stack, alpha=alpha, beta=beta, trans_a=trans_a),
+            kernel="spmm",
         )
 
-    def batched_panel_gather(self, x: np.ndarray, rows_stack: np.ndarray) -> np.ndarray:
-        out, cost = kernels.batched_panel_gather(x, rows_stack)
-        self.charge(cost, kernel="batched_panel_gather")
+    def panel_gather(self, x: np.ndarray, rows_stack: np.ndarray) -> np.ndarray:
+        out, cost = kernels.panel_gather(x, rows_stack)
+        self.charge(cost, kernel="panel_gather")
         return out
 
-    def batched_panel_scatter_add(
+    def panel_scatter_add(
         self,
         target: np.ndarray,
         rows_stack: np.ndarray,
@@ -235,11 +148,11 @@ class Executor:
         sign: float = 1.0,
     ) -> float:
         return self.charge(
-            kernels.batched_panel_scatter_add(target, rows_stack, values_stack, sign=sign),
-            kernel="batched_panel_scatter_add",
+            kernels.panel_scatter_add(target, rows_stack, values_stack, sign=sign),
+            kernel="panel_scatter_add",
         )
 
-    def batched_scatter_add_rows(
+    def scatter_add_rows(
         self,
         target_stack: np.ndarray,
         rows: np.ndarray,
@@ -247,27 +160,25 @@ class Executor:
         sign: float = 1.0,
     ) -> float:
         return self.charge(
-            kernels.batched_scatter_add_rows(target_stack, rows, values_stack, sign=sign),
-            kernel="batched_scatter_add_rows",
+            kernels.scatter_add_rows(target_stack, rows, values_stack, sign=sign),
+            kernel="scatter_add_rows",
         )
 
-    def batched_extract_block(
-        self, a: StackedCSC, r0: int, r1: int, c0: int, c1: int
-    ) -> StackedCSC:
-        block, cost = kernels.batched_extract_block(a, r0, r1, c0, c1)
-        self.charge(cost, kernel="batched_extract_block")
+    def extract_block(self, a: StackedCSC, r0: int, r1: int, c0: int, c1: int) -> StackedCSC:
+        block, cost = kernels.extract_block(a, r0, r1, c0, c1)
+        self.charge(cost, kernel="extract_block")
         return block
 
-    def batched_densify(self, a: StackedCSC, rows: np.ndarray | None = None) -> np.ndarray:
-        out, cost = kernels.batched_densify(a, rows=rows)
-        self.charge(cost, kernel="batched_densify")
+    def densify(self, a: StackedCSC, rows: np.ndarray | None = None) -> np.ndarray:
+        out, cost = kernels.densify(a, rows=rows)
+        self.charge(cost, kernel="densify")
         return out
 
-    def batched_symmetric_permute(
+    def symmetric_permute(
         self, f_stack: np.ndarray, perm: np.ndarray, inverse: bool = True
     ) -> np.ndarray:
-        out, cost = kernels.batched_symmetric_permute(f_stack, perm, inverse=inverse)
-        self.charge(cost, kernel="batched_symmetric_permute")
+        out, cost = kernels.symmetric_permute(f_stack, perm, inverse=inverse)
+        self.charge(cost, kernel="symmetric_permute")
         return out
 
 

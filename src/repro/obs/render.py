@@ -5,10 +5,8 @@
 with a count), and :func:`render_phase_tree` prints it with inclusive
 wall / CPU time per phase — the ``python -m repro trace`` report.
 
-:func:`render_schedule` and :func:`gantt` (simulated-schedule renderings,
-formerly ``repro.runtime.trace``) live here so every human-readable
-timeline view comes out of one module; the old import path re-exports them
-with a deprecation warning.
+:func:`render_schedule` and :func:`gantt` (simulated-schedule renderings)
+live here so every human-readable timeline view comes out of one module.
 """
 
 from __future__ import annotations
@@ -104,7 +102,7 @@ def top_phases(spans: list[Span], n: int = 3) -> list[tuple[str, float, int]]:
     return [(name, sec, count) for name, (sec, count) in ranked[:n]]
 
 
-# -- simulated-schedule renderings (migrated from repro.runtime.trace) ------
+# -- simulated-schedule renderings -----------------------------------------
 
 
 def render_schedule(schedule, max_rows: int = 40) -> str:

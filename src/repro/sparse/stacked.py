@@ -105,18 +105,14 @@ class StackedCSC:
         require(0 <= c0 <= c1 <= self.shape[1], "column range out of bounds")
         start, end = int(self.indptr[c0]), int(self.indptr[c1])
         rows = self.indices[start:end]
-        mask = (rows >= r0) & (rows < r1)
-        sel = np.flatnonzero(mask) + start
-        cols = np.repeat(
-            np.arange(c1 - c0, dtype=np.intp), np.diff(self.indptr[c0 : c1 + 1])
-        )[mask]
-        indptr = np.zeros(c1 - c0 + 1, dtype=self.indptr.dtype)
-        np.cumsum(np.bincount(cols, minlength=c1 - c0), out=indptr[1:])
+        sel = np.flatnonzero((rows >= r0) & (rows < r1))
+        # Kept entries before each old column start are the new column starts.
+        indptr = np.searchsorted(sel, self.indptr[c0 : c1 + 1] - start)
         return StackedCSC(
             shape=(r1 - r0, c1 - c0),
-            indptr=indptr,
-            indices=rows[mask] - r0,
-            data=self.data[:, sel],
+            indptr=indptr.astype(self.indptr.dtype),
+            indices=rows[sel] - r0,
+            data=self.data[:, sel + start],
         )
 
     def nonempty_rows(self) -> np.ndarray:
@@ -144,11 +140,12 @@ class StackedCSC:
         return out
 
     def member(self, g: int) -> sp.csc_matrix:
-        """Member *g* as an ordinary CSC matrix (tests, debugging)."""
+        """Member *g* as an ordinary CSC matrix — a zero-copy view of the
+        stack's pattern and value row (what the per-matrix library routines
+        of a stack of one consume)."""
         require(0 <= g < self.group, "member index out of range")
         return sp.csc_matrix(
-            (self.data[g].copy(), self.indices.copy(), self.indptr.copy()),
-            shape=self.shape,
+            (self.data[g], self.indices, self.indptr), shape=self.shape
         )
 
 

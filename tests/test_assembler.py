@@ -20,6 +20,8 @@ from repro.dd import decompose
 from repro.fem import heat_transfer_2d, heat_transfer_3d
 from repro.gpu import A100_40GB, EPYC_7763_CORE, Executor
 from repro.sparse import cholesky, solve_lower
+from repro.sparse.canonical import union_plan
+from repro.sparse.cholesky import CholeskyFactor
 from tests.conftest import random_spd
 
 
@@ -164,6 +166,65 @@ def test_assembler_3d_problem():
     ref = ref_y.T @ ref_y
     res = SchurAssembler(config=default_config("gpu", 3)).assemble(factor, sub.bt)
     assert np.allclose(res.f, ref, atol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# one body behind the three entry points: the whole config grid
+# ---------------------------------------------------------------------------
+
+CONFIG_GRID = [
+    AssemblyConfig(
+        trsm_variant=trsm,
+        syrk_variant=syrk,
+        trsm_blocks=by_size(16),
+        syrk_blocks=by_count(3),
+        factor_storage=storage,
+        prune=prune,
+    )
+    for trsm in ("orig", "rhs_split", "factor_split")
+    for syrk in ("orig", "input_split", "output_split")
+    for storage in ("sparse", "dense")
+    for prune in (False, True)
+]
+
+
+def _ledger(ex):
+    total = ex.ledger.total
+    return total.flops, total.bytes_moved, total.launches
+
+
+@pytest.mark.parametrize("config", CONFIG_GRID, ids=lambda c: c.describe())
+def test_entry_points_share_one_body(config, subdomain_2d):
+    factor, bt = subdomain_2d
+    asm = SchurAssembler(config=config)
+    bt_rows = bt.tocsr()[factor.perm].tocsc()
+
+    # (a) one member: the three entry points are the same computation.
+    ex_one, ex_group, ex_union = (Executor(A100_40GB) for _ in range(3))
+    one = asm.assemble(factor, bt, executor=ex_one)
+    (grouped,) = asm.assemble_group([factor], [bt], executor=ex_group)
+    (padded,) = asm.assemble_union(
+        [factor], [bt_rows], union_plan([factor.l], [bt_rows]), executor=ex_union
+    )
+    assert one.f.tobytes() == grouped.f.tobytes() == padded.f.tobytes()
+    assert _ledger(ex_one) == _ledger(ex_group) == _ledger(ex_union)
+    assert one.breakdown == grouped.breakdown == padded.breakdown
+
+    # (b) three members, one pattern, distinct values: 3x the work, 1x the launches.
+    factors, bts = [], []
+    for scale in (1.0, 1.25, 0.8):
+        l = factor.l.copy()
+        l.data = l.data * scale
+        factors.append(
+            CholeskyFactor(l=l, perm=factor.perm, flops=factor.flops, engine=factor.engine)
+        )
+        bts.append(bt * scale)
+    ex_three = Executor(A100_40GB)
+    three = asm.assemble_group(factors, bts, executor=ex_three)
+    flops, nbytes, launches = _ledger(ex_one)
+    assert _ledger(ex_three) == (3 * flops, 3 * nbytes, launches)
+    assert np.allclose(three[0].f, one.f, rtol=1e-9, atol=1e-10)
+    assert np.allclose(three[1].f, one.f, rtol=1e-9, atol=1e-10)  # (s B)(s L)^-T(s L)^-1(s B)^T = F
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from repro.core.stepped import stepped_permutation
 from repro.feti.planner import plan_population
 from repro.gpu import A100_40GB, Executor
 from repro.gpu.spec import PCIE4_X16
-from repro.sparse import cholesky, symbolic_from_factor
+from repro.sparse import StackedCSC, cholesky, symbolic_from_factor
 from tests.conftest import random_spd
 
 
@@ -145,9 +145,10 @@ def test_pruning_plan_matches_adhoc_scan(workload_2d):
     x1 = np.asarray(bt_rows[:, col_perm].toarray(), dtype=np.float64)
     x2 = x1.copy()
     ex1, ex2 = Executor(A100_40GB), Executor(A100_40GB)
-    trsm_factor_split(ex1, factor.l, x1, shape, cfg.trsm_blocks, storage="sparse", prune=True)
+    l = StackedCSC.from_matrices([factor.l])
+    trsm_factor_split(ex1, l, x1[None], shape, cfg.trsm_blocks, storage="sparse", prune=True)
     trsm_factor_split(
-        ex2, factor.l, x2, shape, cfg.trsm_blocks, storage="sparse", prune=True, plan=plan
+        ex2, l, x2[None], shape, cfg.trsm_blocks, storage="sparse", prune=True, plan=plan
     )
     assert np.array_equal(x1, x2)
     assert ex1.elapsed == pytest.approx(ex2.elapsed)
@@ -162,7 +163,12 @@ def test_pruning_plan_rejects_mismatch(workload_2d):
     x = np.asarray(bt_rows[:, col_perm].toarray(), dtype=np.float64)
     with pytest.raises(ValueError, match="pruning plan"):
         trsm_factor_split(
-            Executor(A100_40GB), factor.l, x, shape, cfg.trsm_blocks, plan=plan
+            Executor(A100_40GB),
+            StackedCSC.from_matrices([factor.l]),
+            x[None],
+            shape,
+            cfg.trsm_blocks,
+            plan=plan,
         )
 
 

@@ -24,7 +24,7 @@ from repro.gpu import (
     gpu_executor,
 )
 from repro.gpu import kernels
-from repro.sparse import cholesky
+from repro.sparse import StackedCSC, cholesky
 from repro.util import trsm_dense_flops
 from tests.conftest import random_spd
 
@@ -114,38 +114,84 @@ def test_byte_helpers():
 # ---------------------------------------------------------------------------
 
 
+# The kernels take stacked operands only; a single matrix is the stack of
+# one (``x[None]`` is a view, so in-place results land in ``x``).
+
+
 @pytest.fixture
 def factor():
     return cholesky(random_spd(80, density=0.06, seed=2), ordering="amd")
+
+
+def _stack(*mats):
+    return StackedCSC.from_matrices(list(mats))
+
+
+def _scaled(a, factor):
+    """Same pattern, distinct values."""
+    out = a.copy()
+    out.data = out.data * factor
+    return out
 
 
 def test_kernel_trsm_dense(factor, rng):
     ld = factor.l.toarray()
     x = rng.standard_normal((80, 7))
     x0 = x.copy()
-    cost = kernels.trsm_dense(ld, x)
+    cost = kernels.trsm_dense(ld[None], x[None])
     assert np.allclose(factor.l @ x, x0, atol=1e-9)
     assert cost.flops == trsm_dense_flops(80, 7)
-    cost_t = kernels.trsm_dense(ld, x, trans=True)
+    cost_t = kernels.trsm_dense(ld[None], x[None], trans=True)
     assert cost_t.flops == cost.flops
 
 
 def test_kernel_trsm_sparse(factor, rng):
     x = rng.standard_normal((80, 7))
     x0 = x.copy()
-    cost = kernels.trsm_sparse(factor.l, x)
+    cost = kernels.trsm_sparse(_stack(factor.l), x[None])
     assert np.allclose(factor.l @ x, x0, atol=1e-9)
     assert cost.sparse
+
+
+@pytest.mark.parametrize("trans", [False, True])
+def test_kernel_trsm_stack_of_three_matches_stacks_of_one(factor, rng, trans):
+    """G = 1 (library routine) vs a slice of G = 3 (blocked substitution):
+    distinct values on one pattern, same solutions, 3x the cost, 1 launch."""
+    ls = [_scaled(factor.l, s) for s in (1.0, 1.3, 0.7)]
+    x3 = rng.standard_normal((3, 80, 7))
+    for kernel, operand in (
+        (kernels.trsm_sparse, lambda mats: _stack(*mats)),
+        (kernels.trsm_dense, lambda mats: np.stack([a.toarray() for a in mats])),
+    ):
+        got = x3.copy()
+        cost3 = kernel(operand(ls), got, trans=trans)
+        for g in range(3):
+            ref = x3[g : g + 1].copy()
+            cost1 = kernel(operand(ls[g : g + 1]), ref, trans=trans)
+            assert np.allclose(got[g], ref[0], rtol=1e-9, atol=1e-10)
+        assert cost3.flops == 3 * cost1.flops
+        assert cost3.bytes_moved == 3 * cost1.bytes_moved
+        assert cost3.launches == cost1.launches == 1
+
+
+def test_kernel_trsm_sparse_prebuilt_solver_is_bitwise(factor, rng):
+    from repro.sparse.triangular import TriangularSolver
+
+    x = rng.standard_normal((1, 80, 4))
+    fresh, cached = x.copy(), x.copy()
+    kernels.trsm_sparse(_stack(factor.l), fresh)
+    kernels.trsm_sparse(_stack(factor.l), cached, solver=TriangularSolver(factor.l))
+    assert np.array_equal(fresh, cached)
 
 
 def test_kernel_syrk(rng):
     y = rng.standard_normal((40, 12))
     c = np.ones((12, 12))
-    cost = kernels.syrk(y, c, alpha=2.0, beta=1.0)
+    cost = kernels.syrk(y[None], c[None], alpha=2.0, beta=1.0)
     assert np.allclose(c, 1.0 + 2.0 * y.T @ y, atol=1e-10)
     assert cost.flops == pytest.approx(40 * 12 * 13)
     c2 = np.full((12, 12), 9.0)
-    kernels.syrk(y, c2, beta=0.0)
+    kernels.syrk(y[None], c2[None], beta=0.0)
     assert np.allclose(c2, y.T @ y)
 
 
@@ -154,64 +200,87 @@ def test_kernel_gemm(rng):
     b = rng.standard_normal((7, 3))
     c = rng.standard_normal((5, 3))
     c0 = c.copy()
-    cost = kernels.gemm(a, b, c, alpha=-1.0, beta=1.0)
+    cost = kernels.gemm(a[None], b[None], c[None], alpha=-1.0, beta=1.0)
     assert np.allclose(c, c0 - a @ b, atol=1e-12)
     assert cost.flops == 2 * 5 * 3 * 7
     # transposed A
     at = rng.standard_normal((7, 5))
     c2 = np.zeros((5, 3))
-    kernels.gemm(at, b, c2, beta=0.0, trans_a=True)
+    kernels.gemm(at[None], b[None], c2[None], beta=0.0, trans_a=True)
     assert np.allclose(c2, at.T @ b)
 
 
 def test_kernel_gemm_validates(rng):
     with pytest.raises(ValueError):
-        kernels.gemm(np.ones((2, 3)), np.ones((4, 2)), np.ones((2, 2)))
+        kernels.gemm(np.ones((1, 2, 3)), np.ones((1, 4, 2)), np.ones((1, 2, 2)))
     with pytest.raises(ValueError):
-        kernels.gemm(np.ones((2, 3)), np.ones((3, 2)), np.ones((3, 3)))
+        kernels.gemm(np.ones((1, 2, 3)), np.ones((1, 3, 2)), np.ones((1, 3, 3)))
+    with pytest.raises(ValueError):
+        kernels.gemm(np.ones((2, 3)), np.ones((3, 2)), np.ones((2, 2)))  # not stacks
 
 
 def test_kernel_spmm(rng):
     a = sp.random(9, 6, density=0.4, random_state=1, format="csr")
     b = rng.standard_normal((6, 4))
     c = np.zeros((9, 4))
-    cost = kernels.spmm(a, b, c, beta=0.0)
+    cost = kernels.spmm(_stack(a), b[None], c[None], beta=0.0)
     assert np.allclose(c, a @ b)
     assert cost.sparse
+
+
+@pytest.mark.parametrize("trans_a", [False, True])
+def test_kernel_spmm_stack_of_three_matches_stacks_of_one(rng, trans_a):
+    a = sp.random(9, 6, density=0.4, random_state=1, format="csc")
+    mats = [_scaled(a, s) for s in (1.0, -2.0, 0.5)]
+    b3 = rng.standard_normal((3, 9 if trans_a else 6, 4))
+    c3 = np.ones((3, 6 if trans_a else 9, 4))
+    cost3 = kernels.spmm(_stack(*mats), b3, c3, alpha=-1.0, beta=1.0, trans_a=trans_a)
+    for g in range(3):
+        c1 = np.ones((1,) + c3.shape[1:])
+        cost1 = kernels.spmm(
+            _stack(mats[g]), b3[g : g + 1], c1, alpha=-1.0, beta=1.0, trans_a=trans_a
+        )
+        assert np.allclose(c3[g], c1[0], rtol=1e-12, atol=1e-12)
+    assert cost3.flops == 3 * cost1.flops and cost3.launches == cost1.launches == 1
 
 
 def test_kernel_gather_scatter(rng):
     x = rng.standard_normal((10, 4))
     rows = np.array([1, 3, 7])
-    packed, _ = kernels.gather_rows(x, rows)
-    assert np.array_equal(packed, x[rows])
+    packed, _ = kernels.panel_gather(x, rows[None])
+    assert np.array_equal(packed[0], x[rows])
     target = np.zeros((10, 4))
-    kernels.scatter_add_rows(target, rows, packed, sign=-1.0)
+    kernels.scatter_add_rows(target[None], rows, packed, sign=-1.0)
     assert np.allclose(target[rows], -x[rows])
     assert np.allclose(np.delete(target, rows, axis=0), 0.0)
+    # The panel scatter accumulates rows shared between members.
+    shared = np.zeros((10, 4))
+    both = np.stack([rows, rows])
+    gathered, cost = kernels.panel_gather(x, both)
+    kernels.panel_scatter_add(shared, both, gathered)
+    assert np.allclose(shared[rows], 2.0 * x[rows])
+    assert cost.launches == 1
 
 
 def test_kernel_extract_block_and_densify(factor):
-    block, _ = kernels.extract_sparse_block(factor.l, 20, 60, 10, 20)
+    block, _ = kernels.extract_block(_stack(factor.l), 20, 60, 10, 20)
     assert block.shape == (40, 10)
-    assert np.allclose(block.toarray(), factor.l[20:60, 10:20].toarray())
+    assert np.allclose(block.member(0).toarray(), factor.l[20:60, 10:20].toarray())
     dense, _ = kernels.densify(block)
-    assert np.allclose(dense, block.toarray())
+    assert np.allclose(dense[0], block.member(0).toarray())
+    rows = block.nonempty_rows()
+    packed, _ = kernels.densify(block, rows=rows)
+    assert np.array_equal(packed[0], dense[0][rows])
 
 
 def test_kernel_permutations(rng):
-    x = rng.standard_normal((6, 9))
     perm = np.random.default_rng(0).permutation(9)
-    y, _ = kernels.permute_columns(x, perm)
-    assert np.array_equal(y, x[:, perm])
-    back, _ = kernels.permute_columns(y, perm, inverse=True)
-    assert np.array_equal(back, x)
-
-    f = rng.standard_normal((9, 9))
+    f = rng.standard_normal((2, 9, 9))
     fp, _ = kernels.symmetric_permute(f, perm, inverse=False)
-    assert np.array_equal(fp, f[np.ix_(perm, perm)])
-    fb, _ = kernels.symmetric_permute(fp, perm, inverse=True)
+    assert np.array_equal(fp[1], f[1][np.ix_(perm, perm)])
+    fb, cost = kernels.symmetric_permute(fp, perm, inverse=True)
     assert np.allclose(fb, f)
+    assert cost.launches == 1
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +292,10 @@ def test_executor_accumulates_time(factor, rng):
     ex = gpu_executor()
     x = rng.standard_normal((80, 5))
     assert ex.elapsed == 0.0
-    ex.trsm_sparse(factor.l, x)
+    ex.trsm_sparse(StackedCSC.from_matrices([factor.l]), x[None])
     t1 = ex.elapsed
     assert t1 > 0
-    ex.syrk(x, np.zeros((5, 5)), beta=0.0)
+    ex.syrk(x[None], np.zeros((1, 5, 5)), beta=0.0)
     assert ex.elapsed > t1
     assert ex.ledger.calls == 2
     ex.reset()
@@ -240,8 +309,8 @@ def test_cpu_executor_slower_on_large_dense(rng):
     x = rng.standard_normal((400, 300))
     cpu = cpu_executor()
     gpu = gpu_executor()
-    cpu.trsm_dense(ld, x.copy())
-    gpu.trsm_dense(ld, x.copy())
+    cpu.trsm_dense(ld[None], x.copy()[None])
+    gpu.trsm_dense(ld[None], x.copy()[None])
     assert cpu.elapsed > gpu.elapsed
 
 

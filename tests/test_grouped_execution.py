@@ -604,10 +604,10 @@ def test_explicit_grouped_operator_applies_the_assembled_schur_complements(case)
         trace = tracer.trace()
         kernels = [s for s in trace.spans if s.name.startswith("gpu.")]
         assert [s.name for s in kernels] == [
-            "gpu.batched_panel_gather", "gpu.batched_gemm", "gpu.batched_panel_scatter_add"
+            "gpu.panel_gather", "gpu.gemm", "gpu.panel_scatter_add"
         ] * gop.n_groups
         assert sum(
-            s.attrs["flops"] for s in kernels if s.name == "gpu.batched_gemm"
+            s.attrs["flops"] for s in kernels if s.name == "gpu.gemm"
         ) == pytest.approx(sum(2.0 * m * m * k for m in orders), rel=1e-12)
         spans = trace.by_name("feti.apply_group")
         assert len(spans) == gop.n_groups

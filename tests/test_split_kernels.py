@@ -1,4 +1,8 @@
-"""Tests for the split TRSM and SYRK kernels — correctness and invariants."""
+"""Tests for the split TRSM and SYRK kernels — correctness and invariants.
+
+The variants take stacked operands only; a single matrix is fed as the
+stack of one (``x[None]`` is a view, so in-place results land in ``x``).
+"""
 
 from __future__ import annotations
 
@@ -23,6 +27,7 @@ from repro.core import (
 from repro.core.blocks import BlockSpec
 from repro.gpu import A100_40GB, EPYC_7763_CORE, Executor
 from repro.sparse import cholesky, solve_lower
+from repro.sparse.stacked import StackedCSC
 from tests.conftest import random_spd
 
 
@@ -39,6 +44,10 @@ def _setup(n=70, m=25, density=0.06, seed=0):
 
 def _ex():
     return Executor(A100_40GB)
+
+
+def _stack(factor):
+    return StackedCSC.from_matrices([factor.l])
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +93,7 @@ def test_blockspec_describe():
 def test_trsm_orig_matches_reference(storage):
     factor, shape, x, y_ref = _setup()
     ex = _ex()
-    trsm_orig(ex, factor.l, x, storage=storage)
+    trsm_orig(ex, _stack(factor), x[None], storage=storage)
     assert np.allclose(x, y_ref, atol=1e-9)
     assert ex.elapsed > 0
 
@@ -94,7 +103,7 @@ def test_trsm_orig_matches_reference(storage):
 def test_trsm_rhs_split_matches_reference(storage, blocks):
     factor, shape, x, y_ref = _setup()
     ex = _ex()
-    trsm_rhs_split(ex, factor.l, x, shape, blocks, storage=storage)
+    trsm_rhs_split(ex, _stack(factor), x[None], shape, blocks, storage=storage)
     assert np.allclose(x, y_ref, atol=1e-9)
 
 
@@ -104,21 +113,21 @@ def test_trsm_rhs_split_matches_reference(storage, blocks):
 def test_trsm_factor_split_matches_reference(storage, prune, blocks):
     factor, shape, x, y_ref = _setup()
     ex = _ex()
-    trsm_factor_split(ex, factor.l, x, shape, blocks, storage=storage, prune=prune)
+    trsm_factor_split(ex, _stack(factor), x[None], shape, blocks, storage=storage, prune=prune)
     assert np.allclose(x, y_ref, atol=1e-9)
 
 
 def test_trsm_preserves_zeros_above_pivots():
     factor, shape, x, _ = _setup(seed=7)
     ex = _ex()
-    trsm_factor_split(ex, factor.l, x, shape, by_size(10))
+    trsm_factor_split(ex, _stack(factor), x[None], shape, by_size(10))
     assert check_zeros_above_pivots(x, shape, tol=0.0)
 
 
 def test_trsm_rhs_split_preserves_zeros():
     factor, shape, x, _ = _setup(seed=9)
     ex = _ex()
-    trsm_rhs_split(ex, factor.l, x, shape, by_size(6), storage="dense")
+    trsm_rhs_split(ex, _stack(factor), x[None], shape, by_size(6), storage="dense")
     assert check_zeros_above_pivots(x, shape, tol=0.0)
 
 
@@ -135,7 +144,7 @@ def test_trsm_handles_empty_columns():
         pivots=np.concatenate([shape.pivots, [shape.n_rows, shape.n_rows]]),
     )
     ex = _ex()
-    trsm_rhs_split(ex, factor.l, x2, shape2, by_size(5))
+    trsm_rhs_split(ex, _stack(factor), x2[None], shape2, by_size(5))
     assert np.allclose(x2[:, :-2], y_ref, atol=1e-9)
     assert np.all(x2[:, -2:] == 0.0)
 
@@ -145,8 +154,8 @@ def test_trsm_split_saves_flops_vs_orig():
     baseline on a genuinely stepped RHS (the whole point of §3.2)."""
     factor, shape, x, _ = _setup(n=150, m=60, seed=3)
     ex_orig, ex_opt = _ex(), _ex()
-    trsm_orig(ex_orig, factor.l, x.copy(), storage="dense")
-    trsm_rhs_split(ex_opt, factor.l, x.copy(), shape, by_size(10), storage="dense")
+    trsm_orig(ex_orig, _stack(factor), x.copy()[None], storage="dense")
+    trsm_rhs_split(ex_opt, _stack(factor), x.copy()[None], shape, by_size(10), storage="dense")
     assert ex_opt.ledger.total.flops < ex_orig.ledger.total.flops
 
 
@@ -154,9 +163,9 @@ def test_trsm_validates_shapes():
     factor, shape, x, _ = _setup()
     ex = _ex()
     with pytest.raises(ValueError):
-        trsm_rhs_split(ex, factor.l, x[:-1], shape, by_size(5))
+        trsm_rhs_split(ex, _stack(factor), x[None, :-1], shape, by_size(5))
     with pytest.raises(ValueError):
-        trsm_orig(ex, factor.l, x, storage="csr")
+        trsm_orig(ex, _stack(factor), x[None], storage="csr")
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +183,7 @@ def test_syrk_orig_matches():
     shape, y, f_ref = _syrk_setup()
     f = np.zeros_like(f_ref)
     ex = _ex()
-    syrk_orig(ex, y, f)
+    syrk_orig(ex, y[None], f[None])
     assert np.allclose(f, f_ref, atol=1e-9)
 
 
@@ -183,7 +192,7 @@ def test_syrk_input_split_matches(blocks):
     shape, y, f_ref = _syrk_setup()
     f = np.ones_like(f_ref)  # must be overwritten
     ex = _ex()
-    syrk_input_split(ex, y, f, shape, blocks)
+    syrk_input_split(ex, y[None], f[None], shape, blocks)
     assert np.allclose(f, f_ref, atol=1e-9)
 
 
@@ -192,7 +201,7 @@ def test_syrk_output_split_matches(blocks):
     shape, y, f_ref = _syrk_setup()
     f = np.ones_like(f_ref)
     ex = _ex()
-    syrk_output_split(ex, y, f, shape, blocks)
+    syrk_output_split(ex, y[None], f[None], shape, blocks)
     assert np.allclose(f, f_ref, atol=1e-9)
 
 
@@ -200,17 +209,17 @@ def test_syrk_results_symmetric():
     shape, y, _ = _syrk_setup(seed=5)
     for fn in (syrk_input_split, syrk_output_split):
         f = np.zeros((y.shape[1], y.shape[1]))
-        fn(_ex(), y, f, shape, by_size(11))
+        fn(_ex(), y[None], f[None], shape, by_size(11))
         assert np.allclose(f, f.T, atol=1e-12)
 
 
 def test_syrk_split_saves_flops():
     shape, y, _ = _syrk_setup(n=200, m=80, seed=2)
     ex_orig, ex_in, ex_out = _ex(), _ex(), _ex()
-    f = np.zeros((y.shape[1], y.shape[1]))
-    syrk_orig(ex_orig, y, f.copy())
-    syrk_input_split(ex_in, y, f.copy(), shape, by_size(20))
-    syrk_output_split(ex_out, y, f.copy(), shape, by_size(10))
+    f = np.zeros((1, y.shape[1], y.shape[1]))
+    syrk_orig(ex_orig, y[None], f.copy())
+    syrk_input_split(ex_in, y[None], f.copy(), shape, by_size(20))
+    syrk_output_split(ex_out, y[None], f.copy(), shape, by_size(10))
     assert ex_in.ledger.total.flops < ex_orig.ledger.total.flops
     assert ex_out.ledger.total.flops < ex_orig.ledger.total.flops
 
@@ -218,9 +227,11 @@ def test_syrk_split_saves_flops():
 def test_syrk_validates():
     shape, y, _ = _syrk_setup()
     with pytest.raises(ValueError):
-        syrk_orig(_ex(), y, np.zeros((3, 3)))
+        syrk_orig(_ex(), y[None], np.zeros((1, 3, 3)))
     with pytest.raises(ValueError):
-        syrk_input_split(_ex(), y[:-1], np.zeros((y.shape[1],) * 2), shape, by_size(5))
+        syrk_input_split(
+            _ex(), y[None, :-1], np.zeros((1,) + (y.shape[1],) * 2), shape, by_size(5)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +257,9 @@ def test_property_trsm_variants_agree(n, m, seed, block, storage, prune):
     ref = solve_lower(factor.l, x0.copy(), method="dense")
 
     x1, x2 = x0.copy(), x0.copy()
-    trsm_rhs_split(_ex(), factor.l, x1, shape, by_size(block), storage=storage)
+    trsm_rhs_split(_ex(), _stack(factor), x1[None], shape, by_size(block), storage=storage)
     trsm_factor_split(
-        _ex(), factor.l, x2, shape, by_size(block), storage=storage, prune=prune
+        _ex(), _stack(factor), x2[None], shape, by_size(block), storage=storage, prune=prune
     )
     assert np.allclose(x1, ref, atol=1e-8)
     assert np.allclose(x2, ref, atol=1e-8)
@@ -273,7 +284,7 @@ def test_property_syrk_variants_agree(n, m, seed, block):
     ref = y.T @ y
     f1 = np.zeros((m, m))
     f2 = np.zeros((m, m))
-    syrk_input_split(_ex(), y, f1, shape, by_size(block))
-    syrk_output_split(_ex(), y, f2, shape, by_size(block))
+    syrk_input_split(_ex(), y[None], f1[None], shape, by_size(block))
+    syrk_output_split(_ex(), y[None], f2[None], shape, by_size(block))
     assert np.allclose(f1, ref, atol=1e-9)
     assert np.allclose(f2, ref, atol=1e-9)
