@@ -27,10 +27,10 @@ RTOL, ATOL = 1e-9, 1e-10
 
 def _numeric_wall(result) -> float:
     """Host wall of the numeric phase, from the run's own obs spans: the
-    per-member path times each ``batch.member`` span, the grouped path each
-    ``batch.group`` span — comparable across execution modes (the hand
-    measurement these spans replaced timed whole assemble_batch calls,
-    analysis included)."""
+    one runner opens a ``batch.member`` span per member run singly and a
+    ``batch.group`` span per stack — comparable across execution modes
+    (the hand measurement these spans replaced timed whole assemble_batch
+    calls, analysis included)."""
     return result.trace.total("batch.member") + result.trace.total("batch.group")
 
 

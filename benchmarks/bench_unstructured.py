@@ -52,9 +52,10 @@ def _build(n_parts: int, cells: int, seed: int):
     cfg = default_config("gpu", 2)
 
     # Timed through repro.obs spans instead of hand-rolled perf_counter
-    # pairs: batch.group covers the grouped (stacked-kernel) numerics,
-    # batch.member the streamed per-member numerics — the comparable
-    # numeric-phase walls across execution modes.
+    # pairs: batch.group covers the stacks (here all of one member: the
+    # grouped run *is* the per-member numerics behind assemble_group),
+    # batch.member the members run singly — both inside batch.execute, the
+    # comparable numeric-phase walls across execution modes.
     from repro.obs import tracing
 
     with tracing():

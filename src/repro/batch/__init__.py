@@ -29,7 +29,6 @@ from repro.batch.engine import (
     BatchItem,
     BatchResult,
     build_artifacts,
-    build_union_artifacts,
     items_from_decomposition,
     symbolic_analysis_cost,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "rotation_fingerprint",
     "union_fingerprint",
     "build_artifacts",
-    "build_union_artifacts",
     "items_from_decomposition",
     "symbolic_analysis_cost",
 ]

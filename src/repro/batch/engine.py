@@ -29,32 +29,25 @@ mapped back to each member's own multiplier order on the way out
 (``relabeling.unapply_sc``).  A floating 5x5 grid drops from 9 executed
 groups to 3; see ``docs/batching.md`` for the full mechanism.
 
-Numeric execution comes in four modes (``execution=``):
-
-* ``"per-member"`` (default) — one :meth:`SchurAssembler.assemble` per item,
-  bit-identical to independent assembly.
-* ``"grouped"`` — every fingerprint group runs end-to-end through
-  :meth:`SchurAssembler.assemble_group`: stacked RHS, batched TRSM/SYRK, one
-  kernel launch per step for the whole group.  Identical FLOPs/traffic,
-  launches shrink by the group size, results allclose at tight tolerance.
-  Independent groups additionally fan out across a ``ThreadPoolExecutor``
-  (*n_workers*; NumPy/SciPy release the GIL in BLAS).
-* ``"auto"`` — grouped for groups of at least
-  :data:`GROUPED_AUTO_THRESHOLD` members (where the stacking overhead is
-  clearly amortized), per-member otherwise.  With sparse factor storage,
-  large-order groups (above :data:`GROUPED_AUTO_MAX_SPARSE_ORDER`) also
-  stay per-member: stacked kernels are dense, and a big sparse factor's
-  SuperLU solves do far less host arithmetic.
-* ``"union"`` — grouped, plus the padded tier for unstructured
-  decompositions: near-signature classes spanning several exact
-  fingerprints (where ``"grouped"`` degrades to singleton groups) pad every
-  member into the class's structural pattern union with explicit zeros and
-  run one batched launch per kernel step for the whole class
-  (:meth:`SchurAssembler.assemble_union`).  Results stay exact — padding
-  inserts structural zeros only — at the price of
-  :attr:`~repro.sparse.canonical.UnionPlan.fill_ratio` times the stored
-  entries; classes above *union_fill_cap* (default
-  :data:`DEFAULT_UNION_FILL_CAP`) fall back to the exact paths.
+Numeric execution is one runner behind one planner.  After the analysis,
+:func:`repro.sparse.stacked.plan_stacks` decides which members share a
+stack, and ``execution=`` is nothing but its policy: which exact keys stack
+(``"per-member"``: none — every member alone through
+:meth:`SchurAssembler.assemble`, bit-identical to independent assembly;
+``"grouped"`` / ``"union"``: all, through :meth:`SchurAssembler.assemble_group`
+— identical FLOPs/traffic, launches shrink by the stack size, results
+allclose at tight tolerance; ``"auto"``: those of at least
+:data:`GROUPED_AUTO_THRESHOLD` members, and with sparse factor storage of
+order at most :data:`GROUPED_AUTO_MAX_SPARSE_ORDER`), and whether the
+geometric classes are offered for union padding (``"union"`` only: a near
+class spanning several exact keys pads into its structural pattern union
+with explicit zeros and runs :meth:`SchurAssembler.assemble_union` — exact
+results at :attr:`~repro.sparse.canonical.UnionPlan.fill_ratio` times the
+stored entries; classes above *union_fill_cap*, default
+:data:`DEFAULT_UNION_FILL_CAP`, keep their exact stacks).  Members that run
+alone charge the call's executor serially; every stack gets its own executor
+and independent stacks fan out across a ``ThreadPoolExecutor`` (*n_workers*;
+NumPy/SciPy release the GIL in BLAS).  See ``docs/batching.md``.
 """
 
 from __future__ import annotations
@@ -90,22 +83,15 @@ from repro.gpu.spec import A100_40GB, EPYC_7763_CORE, PCIE4_X16, DeviceSpec, Tra
 from repro.obs import Trace, get_tracer, record_batch_stats, record_cost_ledger
 from repro.runtime.pipeline import PipelineResult, SubdomainWork, run_preprocessing_pipeline
 from repro.runtime.scheduler import host_worker_count
-from repro.sparse.canonical import CanonicalRelabeling, UnionPlan, union_plan
+from repro.sparse.canonical import CanonicalRelabeling
 from repro.sparse.cholesky import CholeskyFactor
-from repro.sparse.symbolic import symbolic_from_factor, symbolic_from_pattern
+from repro.sparse.stacked import DEFAULT_UNION_FILL_CAP, Stack, plan_stacks
+from repro.sparse.symbolic import symbolic_from_pattern
 from repro.util import require
 
 
 #: Numeric-execution modes of :meth:`BatchAssembler.assemble_batch`.
 EXECUTION_MODES = ("per-member", "grouped", "auto", "union")
-
-#: Default fill-ratio cap of the ``"union"`` tier: a near class whose padded
-#: stacks would store/stream more than this multiple of the members' exact
-#: entries falls back to the exact paths.  Deliberately lenient — the
-#: batched kernels work on dense blocks, so moderate structural fill mostly
-#: costs entries that were transferred as dense zeros anyway, while the
-#: launch savings scale with the class size.
-DEFAULT_UNION_FILL_CAP = 8.0
 
 #: Histogram buckets of the ``batch.union_fill_ratio`` metric.
 UNION_FILL_BUCKETS = (1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0)
@@ -210,79 +196,38 @@ def symbolic_analysis_cost(
 
 
 def build_artifacts(
-    factor: CholeskyFactor,
-    bt: sp.spmatrix,
+    patt: FactorPattern,
+    bt_rows: sp.spmatrix,
     config: AssemblyConfig,
     spec: DeviceSpec,
     transfer: TransferSpec | None,
     fingerprint,
-    bt_rows: sp.spmatrix | None = None,
 ) -> SymbolicArtifacts:
-    """Run the full pattern-only analysis for one fingerprint group.
+    """Run the full pattern-only analysis of the pattern pair a stack
+    executes on: the factor pattern *patt* and the row-permuted gluing
+    pattern *bt_rows*.
 
-    *bt_rows* accepts a precomputed ``bt.tocsr()[factor.perm]`` (the engine
-    already permutes it for the fingerprint).
+    For an exact key that is any member's own pair
+    (``FactorPattern.from_factor(factor)``, ``bt.tocsr()[factor.perm]``);
+    for a padded near class it is the class's structural union
+    (:class:`~repro.sparse.canonical.UnionPlan`) — just another pattern
+    pair, cached under its :func:`~repro.batch.fingerprint.union_fingerprint`.
     """
-    n, m = factor.n, bt.shape[1]
+    n, m = patt.n, bt_rows.shape[1]
     with get_tracer().span("batch.symbolic", n=n, m=m):
-        patt = FactorPattern.from_factor(factor)
-        if bt_rows is None:
-            bt_rows = bt.tocsr()[factor.perm]
         prepared = prepare_pattern(bt_rows.tocsc(), config, factor_pattern=patt)
         estimate = estimate_from_patterns(patt, prepared.shape, config, spec, transfer)
         assembler = SchurAssembler(config=config, spec=spec, transfer=transfer)
-        memory = assembler.estimate_memory(factor, m)
-    return SymbolicArtifacts(
-        fingerprint=fingerprint,
-        prepared=prepared,
-        factor_pattern=patt,
-        symbolic=symbolic_from_factor(factor.l),
-        estimate=estimate,
-        memory=memory,
-        analysis_seconds=symbolic_analysis_cost(n, patt.nnz, m, bt.nnz),
-    )
-
-
-def build_union_artifacts(
-    plan: UnionPlan,
-    config: AssemblyConfig,
-    spec: DeviceSpec,
-    transfer: TransferSpec | None,
-    fingerprint,
-) -> SymbolicArtifacts:
-    """Pattern-only analysis of one near class's *union* pattern.
-
-    The padded twin of :func:`build_artifacts`: stepped permutation,
-    pruning plan, cost estimate and memory footprint are computed on the
-    structural union — conservative supersets of every member's own
-    artifacts, so the padded numerics stay exact while the estimate prices
-    the padding fill faithfully.  Cached under the
-    :func:`~repro.batch.fingerprint.union_fingerprint` key: structurally
-    coincident unions (repeated local mesh topology) share one build.
-    """
-    n, m = plan.shape
-    with get_tracer().span("batch.symbolic", n=n, m=m, union=True):
-        patt = FactorPattern(
-            n=n,
-            indptr=np.asarray(plan.l_union.indptr),
-            indices=np.asarray(plan.l_union.indices),
-        )
-        prepared = prepare_pattern(
-            plan.bt_union.pattern_csc(), config, factor_pattern=patt
-        )
-        estimate = estimate_from_patterns(patt, prepared.shape, config, spec, transfer)
-        assembler = SchurAssembler(config=config, spec=spec, transfer=transfer)
-        # FactorPattern quacks enough like a factor for the memory model
-        # (order + stored entries are all it reads).
+        # The memory model reads order + stored entries only: a pattern will do.
         memory = assembler.estimate_memory(patt, m)
     return SymbolicArtifacts(
         fingerprint=fingerprint,
         prepared=prepared,
         factor_pattern=patt,
-        symbolic=symbolic_from_pattern(plan.l_union.indptr, plan.l_union.indices, n),
+        symbolic=symbolic_from_pattern(patt.indptr, patt.indices, n),
         estimate=estimate,
         memory=memory,
-        analysis_seconds=symbolic_analysis_cost(n, patt.nnz, m, plan.bt_union.nnz),
+        analysis_seconds=symbolic_analysis_cost(n, patt.nnz, m, bt_rows.nnz),
     )
 
 
@@ -352,30 +297,11 @@ class BatchAssembler:
         )
 
     @classmethod
-    def for_cpu(
-        cls,
-        config: AssemblyConfig | None = None,
-        cache: PatternCache | None = None,
-        library: FactorizationLibrary = CHOLMOD,
-        tolerance: float | None = None,
-        signature_mode: str = "frame",
-        near_size_tolerance: float | None = None,
-        near_shape_tolerance: float | None = None,
-        union_fill_cap: float | None = None,
-    ) -> "BatchAssembler":
+    def for_cpu(cls, config: AssemblyConfig | None = None, **kwargs) -> "BatchAssembler":
+        """The CPU twin: *kwargs* are :class:`BatchAssembler`'s own, minus
+        the device (``spec`` / ``transfer``)."""
         cpu = SchurAssembler.for_cpu(config=config)
-        return cls(
-            config=cpu.config,
-            spec=cpu.spec,
-            transfer=None,
-            cache=cache,
-            library=library,
-            tolerance=tolerance,
-            signature_mode=signature_mode,
-            near_size_tolerance=near_size_tolerance,
-            near_shape_tolerance=near_shape_tolerance,
-            union_fill_cap=union_fill_cap,
-        )
+        return cls(config=cpu.config, spec=cpu.spec, transfer=None, **kwargs)
 
     @property
     def config(self) -> AssemblyConfig:
@@ -415,13 +341,12 @@ class BatchAssembler:
         return self.cache.get_or_build(
             fp.key,
             lambda: build_artifacts(
-                factor,
-                bt,
+                FactorPattern.from_factor(factor),
+                bt_rows,
                 self.config,
                 self.assembler.spec,
                 self.assembler.transfer,
                 fp,
-                bt_rows=bt_rows,
             ),
         )
 
@@ -444,8 +369,9 @@ class BatchAssembler:
             ``False`` only the symbolic analysis and pricing happen (the
             population-scale planning mode); ``results`` is all ``None``.
         executor:
-            Optional shared executor for the executed numerics; group
-            executors of a grouped run are folded into it.
+            Optional shared executor: the call collects on a ledger of its
+            own (so its counters and metrics are this call's alone) and
+            folds it into *executor* at the end.
         execution:
             ``"per-member"`` (default, bit-identical per-item assembly),
             ``"grouped"`` (batched whole-group kernels; allclose to
@@ -458,10 +384,10 @@ class BatchAssembler:
             pattern union — exact numerics, one batched launch per kernel
             step per class, guarded by ``union_fill_cap``).
         n_workers:
-            Host threads for fanning independent grouped groups out in
-            parallel: ``1`` (default) is serial, ``None`` takes every host
-            core; resolved by :func:`repro.runtime.scheduler.host_worker_count`.
-            Per-member execution is always serial.
+            Host threads for fanning independent stacks out in parallel:
+            ``1`` (default) is serial, ``None`` takes every host core;
+            resolved by :func:`repro.runtime.scheduler.host_worker_count`.
+            Members run singly are always serial.
 
         With a :mod:`repro.obs` tracer installed (``with tracing(): ...``)
         the run is fully instrumented — a ``batch.assemble`` root span with
@@ -518,24 +444,6 @@ class BatchAssembler:
         norm = [it if isinstance(it, BatchItem) else BatchItem(*it) for it in items]
         before = self.cache.stats.snapshot()
 
-        results: list[SchurAssemblyResult | None] = [None] * len(norm)
-        n_grouped = 0
-        n_exec_fallbacks = 0
-        launches = 0
-        execute_seconds = 0.0
-        group_execute_seconds: dict[str, float] = {}
-        group_launches: dict[str, int] = {}
-        ex: Executor | None = None
-        base_launches = 0
-        if execute:
-            ex = executor if executor is not None else Executor(self.assembler.spec)
-            base_launches = ex.ledger.total.launches
-        # Pure per-member execution streams inside the analysis loop — each
-        # permuted bt copy is dropped right after its assemble call, the
-        # pre-grouped peak-memory footprint.  Grouped/auto retain the copies
-        # until their fingerprint group is fully known and stacked.
-        stream = execute and execution == "per-member"
-
         # --- analysis phase: fingerprint, cache, price ----------------------
         work: list[SubdomainWork] = []
         groups: dict[str, list[int]] = {}
@@ -544,6 +452,7 @@ class BatchAssembler:
         artifacts: dict[str, SymbolicArtifacts] = {}
         bt_rows_all: list[sp.csc_matrix | None] = []
         key_of: list[str] = []
+        class_of: list[str | None] = []
         analysis = 0.0
         saved = 0.0
         with tracer.span("batch.analyze", n_items=len(norm)):
@@ -562,9 +471,8 @@ class BatchAssembler:
                 # patterns and land in one shared (executable) group.
                 bt_perm = item.bt.tocsr()[item.factor.perm].tocsc()
                 bt_rows = bt_perm[:, rel.col_perm] if rel is not None else bt_perm
-                # Retain the copy only when the deferred execution phase will
-                # consume it (grouped/auto); streamed and plan-only runs drop it.
-                bt_rows_all.append(bt_rows if execute and not stream else None)
+                # Kept until the member's stack has run; plan-only runs drop it.
+                bt_rows_all.append(bt_rows if execute else None)
                 art, hit = self.analyze(item.factor, item.bt, bt_rows=bt_rows)
                 key = art.fingerprint.key
                 key_of.append(key)
@@ -581,16 +489,18 @@ class BatchAssembler:
                     # yields the identical partition without re-hashing L.
                     exact_key = f"{key}|{pattern_digest(bt_perm)}"
                 exact_groups.setdefault(exact_key, []).append(idx)
+                geo_key = None
                 if item.coords is not None:
-                    geo = geometric_fingerprint_for(
+                    geo_key = geometric_fingerprint_for(
                         self.signature_mode,
                         item.coords,
                         item.bt,
                         tolerance=self.tolerance,
                         size_tolerance=self.near_size_tolerance,
                         shape_tolerance=self.near_shape_tolerance,
-                    )
-                    geometric_groups.setdefault(geo.key, []).append(idx)
+                    ).key
+                    geometric_groups.setdefault(geo_key, []).append(idx)
+                class_of.append(geo_key)
                 if hit:
                     saved += art.analysis_seconds
                 else:
@@ -603,249 +513,172 @@ class BatchAssembler:
                         persistent_bytes=art.memory.persistent,
                     )
                 )
-                if stream:
-                    l0 = ex.ledger.total.launches
-                    w0 = time.perf_counter()
-                    with tracer.span("batch.member", index=idx, group=key[:16]):
-                        results[idx] = self.assembler.assemble(
-                            item.factor,
-                            item.bt,
-                            executor=ex,
-                            prepared=art.prepared,
-                            bt_rows=bt_rows,
-                        )
-                    dt = time.perf_counter() - w0
-                    execute_seconds += dt
-                    group_launches[key] = (
-                        group_launches.get(key, 0) + ex.ledger.total.launches - l0
-                    )
-                    group_execute_seconds[key] = group_execute_seconds.get(key, 0.0) + dt
 
-        # --- union planning (execution == "union"): pad near classes --------
-        # A near class is worth padding when it spans several exact
-        # fingerprints (the grouped path already batches a single exact
-        # class) and its structural fill stays under the cap.
-        union_groups: dict[str, list[int]] = {}
-        union_plans: dict[str, UnionPlan] = {}
+        # --- planning: ``execution=`` is a grouping policy -------------------
+        # The four modes differ only in which exact keys stack and in whether
+        # the geometric classes are offered to the planner for union padding.
+        results: list[SchurAssemblyResult | None] = [None] * len(norm)
+        stacks: list[Stack] = []
+        fill_ratios: dict[str, float] = {}
         union_arts: dict[str, SymbolicArtifacts] = {}
-        in_union: set[int] = set()
-        n_union_skipped = 0
-        union_padded_nnz = 0.0
-        union_member_nnz = 0.0
-        if execute and norm and execution == "union":
-            extra = self._fingerprint_extra()
-            for geo_key, members in geometric_groups.items():
-                if len(members) < 2 or len({key_of[i] for i in members}) < 2:
-                    continue
-                with tracer.span(
-                    "batch.union_pad", group=geo_key[:16], n_members=len(members)
-                ):
-                    plan = union_plan(
-                        [norm[i].factor.l for i in members],
-                        [bt_rows_all[i] for i in members],
-                    )
-                if tracer.enabled:
-                    tracer.metrics.observe(
-                        "batch.union_fill_ratio",
-                        plan.fill_ratio,
-                        boundaries=UNION_FILL_BUCKETS,
-                    )
-                if plan.fill_ratio > self.union_fill_cap:
-                    n_union_skipped += 1
-                    continue
-                ufp = union_fingerprint(plan.l_union, plan.bt_union, extra=extra)
-                art, hit = self.cache.get_or_build(
-                    ufp.key,
-                    lambda: build_union_artifacts(
-                        plan,
-                        self.config,
-                        self.assembler.spec,
-                        self.assembler.transfer,
-                        ufp,
+        if execute:
+            dense = self.config.factor_storage == "dense"
+            stacks, fill_ratios = plan_stacks(
+                key_of,
+                [item.factor.l for item in norm],
+                bt_rows_all,
+                class_keys=class_of if execution == "union" else None,
+                fill_cap=self.union_fill_cap,
+                stack_exact={
+                    "per-member": lambda key, members: False,
+                    "grouped": lambda key, members: True,
+                    "union": lambda key, members: True,
+                    "auto": lambda key, members: (
+                        len(members) >= GROUPED_AUTO_THRESHOLD
+                        and (
+                            dense
+                            or artifacts[key].fingerprint.n <= GROUPED_AUTO_MAX_SPARSE_ORDER
+                        )
+                    ),
+                }[execution],
+            )
+        # A padded class is analyzed and priced on its union like any other
+        # pattern pair — conservative supersets of every member's own
+        # artifacts, so the padded numerics stay exact while the estimate
+        # prices the fill.  Structurally coincident unions share one build.
+        extra = self._fingerprint_extra()
+        for stack in stacks:
+            plan = stack.plan
+            if plan is None:
+                continue
+            ufp = union_fingerprint(plan.l_union, plan.bt_union, extra=extra)
+            art, hit = self.cache.get_or_build(
+                ufp.key,
+                lambda: build_artifacts(
+                    FactorPattern(
+                        n=plan.shape[0],
+                        indptr=np.asarray(plan.l_union.indptr),
+                        indices=np.asarray(plan.l_union.indices),
+                    ),
+                    plan.bt_union.pattern_csc(),
+                    self.config,
+                    self.assembler.spec,
+                    self.assembler.transfer,
+                    ufp,
+                ),
+            )
+            if hit:
+                saved += art.analysis_seconds
+            else:
+                analysis += art.analysis_seconds
+            if tracer.enabled:
+                tracer.metrics.observe(
+                    "batch.union_overhead_seconds",
+                    union_padding_overhead(
+                        art.estimate,
+                        [artifacts[key_of[i]].estimate for i in stack.members],
                     ),
                 )
-                if hit:
-                    saved += art.analysis_seconds
-                else:
-                    analysis += art.analysis_seconds
-                if tracer.enabled:
-                    tracer.metrics.observe(
-                        "batch.union_overhead_seconds",
-                        union_padding_overhead(
-                            art.estimate,
-                            [artifacts[key_of[i]].estimate for i in members],
-                        ),
-                    )
-                union_groups[geo_key] = members
-                union_plans[geo_key] = plan
-                union_arts[geo_key] = art
-                in_union.update(members)
-                union_padded_nnz += plan.padded_nnz
-                union_member_nnz += plan.member_nnz
+            union_arts[stack.key] = art
+        if tracer.enabled:
+            for ratio in fill_ratios.values():
+                tracer.metrics.observe(
+                    "batch.union_fill_ratio", ratio, boundaries=UNION_FILL_BUCKETS
+                )
 
-        # --- execution phase (grouped / auto / union) ------------------------
-        if execute and norm and not stream:
+        # --- execution phase: one runner for every stack ---------------------
+        n_grouped = 0
+        n_exec_fallbacks = 0
+        execute_seconds = 0.0
+        group_execute_seconds: dict[str, float] = {}
+        group_launches: dict[str, int] = {}
+        # The call collects on its own ledger, so its metrics and counters
+        # are this call's alone even when the caller shares an executor.
+        ex = Executor(self.assembler.spec)
+
+        def run(stack: Stack, executor: Executor, span: str) -> None:
+            members = stack.members
+            factors = [norm[i].factor for i in members]
+            bts = [norm[i].bt for i in members]
+            rows = [bt_rows_all[i] for i in members]
+            art = artifacts[stack.key] if stack.plan is None else union_arts[stack.key]
+            kw = {"executor": executor, "prepared": art.prepared}
+            attrs = {"n_members": len(members)} if stack.stacked else {"index": members[0]}
+            if stack.plan is not None:
+                attrs["fill_ratio"] = round(stack.plan.fill_ratio, 3)
+            with tracer.span(span, group=stack.key[:16], **attrs):
+                if stack.plan is not None:
+                    res = self.assembler.assemble_union(factors, rows, stack.plan, **kw)
+                elif stack.stacked:
+                    res = self.assembler.assemble_group(factors, bts, bt_rows=rows, **kw)
+                else:
+                    res = [self.assembler.assemble(factors[0], bts[0], bt_rows=rows[0], **kw)]
+            for i, r in zip(members, res):
+                results[i], bt_rows_all[i] = r, None  # copy no longer needed
+
+        def run_task(stack: Stack):
+            """One stack on its own executor (own simulated track).  A failure
+            degrades to per-member execution of that stack's members instead
+            of aborting the batch: each member's own exact artifacts are
+            always valid, and its permuted-bt copy is only released by a run
+            that succeeded."""
+            gex = Executor(self.assembler.spec)
+            w0 = time.perf_counter()
+            try:
+                run(stack, gex, "batch.group" if stack.plan is None else "batch.union")
+                fell_back = False
+            except Exception as exc:  # noqa: BLE001 — degrade, don't abort
+                warnings.warn(
+                    f"batched execution of group {stack.key[:16]!r} "
+                    f"({len(stack.members)} member(s)) failed with "
+                    f"{type(exc).__name__}: {exc} — falling back to "
+                    "per-member execution for this group",
+                    RuntimeWarning,
+                )
+                gex = Executor(self.assembler.spec)  # drop the failed attempt's charges
+                for i in stack.members:
+                    run(Stack(key_of[i], (i,), stacked=False), gex, "batch.fallback_member")
+                fell_back = True
+            return stack, gex, time.perf_counter() - w0, fell_back
+
+        def account(label: str, launches: int, wall: float) -> None:
+            group_launches[label] = group_launches.get(label, 0) + launches
+            group_execute_seconds[label] = group_execute_seconds.get(label, 0.0) + wall
+
+        if execute and norm:
             with tracer.span("batch.execute", execution=execution):
                 exec_t0 = time.perf_counter()
-                # Union-mode members executing padded leave their exact
-                # groups; the remainder runs the exact paths unchanged.
-                exec_members = {
-                    key: [i for i in members if i not in in_union]
-                    for key, members in groups.items()
-                }
-
-                def auto_picks_grouped(key: str) -> bool:
-                    if len(exec_members[key]) < GROUPED_AUTO_THRESHOLD:
-                        return False
-                    return (
-                        self.config.factor_storage == "dense"
-                        or artifacts[key].fingerprint.n <= GROUPED_AUTO_MAX_SPARSE_ORDER
-                    )
-
-                grouped_keys = [
-                    key
-                    for key in groups
-                    if exec_members[key]
-                    and (execution in ("grouped", "union") or auto_picks_grouped(key))
-                ]
-                grouped_set = set(grouped_keys)
-                # Per-member members first (serial; bit-identical path).
-                for key, members in exec_members.items():
-                    if key in grouped_set:
-                        continue
-                    for idx in members:
-                        l0 = ex.ledger.total.launches
-                        w0 = time.perf_counter()
-                        with tracer.span("batch.member", index=idx, group=key[:16]):
-                            results[idx] = self.assembler.assemble(
-                                norm[idx].factor,
-                                norm[idx].bt,
-                                executor=ex,
-                                prepared=artifacts[key].prepared,
-                                bt_rows=bt_rows_all[idx],
-                            )
-                        bt_rows_all[idx] = None
-                        group_launches[key] = (
-                            group_launches.get(key, 0) + ex.ledger.total.launches - l0
+                # Singles first, serially on the call's executor (the
+                # bit-identical per-member path) ...
+                for stack in stacks:
+                    if not stack.stacked:
+                        l0, w0 = ex.ledger.total.launches, time.perf_counter()
+                        run(stack, ex, "batch.member")
+                        account(
+                            stack.key, ex.ledger.total.launches - l0, time.perf_counter() - w0
                         )
-                        group_execute_seconds[key] = (
-                            group_execute_seconds.get(key, 0.0) + time.perf_counter() - w0
-                        )
-
-                # Grouped groups: whole-group batched kernels, one executor per
-                # group so independent groups can run on parallel host threads.
-                def run_group(key: str):
-                    members = exec_members[key]
-                    gex = Executor(self.assembler.spec)
-                    w0 = time.perf_counter()
-                    with tracer.span(
-                        "batch.group", group=key[:16], n_members=len(members)
-                    ):
-                        res = self.assembler.assemble_group(
-                            [norm[i].factor for i in members],
-                            [norm[i].bt for i in members],
-                            executor=gex,
-                            prepared=artifacts[key].prepared,
-                            bt_rows=[bt_rows_all[i] for i in members],
-                        )
-                    for i in members:
-                        bt_rows_all[i] = None  # stacked: copy no longer needed
-                    return key, members, res, gex, time.perf_counter() - w0
-
-                # Union classes: whole-class padded batched kernels, same
-                # one-executor-per-task fan-out as the exact groups.
-                def run_union(geo_key: str):
-                    members = union_groups[geo_key]
-                    gex = Executor(self.assembler.spec)
-                    w0 = time.perf_counter()
-                    with tracer.span(
-                        "batch.union",
-                        group=geo_key[:16],
-                        n_members=len(members),
-                        fill_ratio=round(union_plans[geo_key].fill_ratio, 3),
-                    ):
-                        res = self.assembler.assemble_union(
-                            [norm[i].factor for i in members],
-                            [bt_rows_all[i] for i in members],
-                            union_plans[geo_key],
-                            executor=gex,
-                            prepared=union_arts[geo_key].prepared,
-                        )
-                    for i in members:
-                        bt_rows_all[i] = None
-                    return f"union:{geo_key}", members, res, gex, time.perf_counter() - w0
-
-                # Graceful degradation: a failure inside one batched task
-                # (grouped or union) falls back to per-member execution of
-                # that task's members instead of aborting the whole batch.
-                # Each member's own exact artifacts are always valid for the
-                # per-member path, and its permuted-bt copy is still intact
-                # (the batched paths only release copies after succeeding).
-                def run_fallback(label: str, members: list[int]):
-                    gex = Executor(self.assembler.spec)
-                    w0 = time.perf_counter()
-                    res = []
-                    for i in members:
-                        with tracer.span(
-                            "batch.fallback_member", index=i, group=label[:16]
-                        ):
-                            res.append(
-                                self.assembler.assemble(
-                                    norm[i].factor,
-                                    norm[i].bt,
-                                    executor=gex,
-                                    prepared=artifacts[key_of[i]].prepared,
-                                    bt_rows=bt_rows_all[i],
-                                )
-                            )
-                        bt_rows_all[i] = None
-                    return res, gex, time.perf_counter() - w0
-
-                def run_task(fn, key: str):
-                    try:
-                        label, members, res, gex, wall = fn(key)
-                        return label, members, res, gex, wall, False
-                    except Exception as exc:  # noqa: BLE001 — degrade, don't abort
-                        members = (
-                            union_groups[key] if fn is run_union else exec_members[key]
-                        )
-                        warnings.warn(
-                            f"batched execution of group {key[:16]!r} "
-                            f"({len(members)} member(s)) failed with "
-                            f"{type(exc).__name__}: {exc} — falling back to "
-                            "per-member execution for this group",
-                            RuntimeWarning,
-                        )
-                        label = f"union:{key}" if fn is run_union else key
-                        res, gex, wall = run_fallback(label, members)
-                        return label, members, res, gex, wall, True
-
-                tasks = [(run_group, key) for key in grouped_keys] + [
-                    (run_union, key) for key in union_groups
-                ]
+                # ... then the stacks, which may fan out over host threads —
+                # exact before padded, so ledgers absorb (and simulated
+                # seconds sum) in one fixed order.
+                tasks = sorted(
+                    (stack for stack in stacks if stack.stacked),
+                    key=lambda stack: stack.plan is not None,
+                )
                 workers = host_worker_count(n_workers, n_tasks=len(tasks))
                 if workers > 1 and len(tasks) > 1:
                     with ThreadPoolExecutor(max_workers=workers) as pool:
-                        outcomes = list(pool.map(lambda t: run_task(*t), tasks))
+                        outcomes = list(pool.map(run_task, tasks))
                 else:
-                    outcomes = [run_task(fn, key) for fn, key in tasks]
-                for label, members, res, gex, wall, fell_back in outcomes:
-                    for idx, r in zip(members, res):
-                        results[idx] = r
+                    outcomes = [run_task(stack) for stack in tasks]
+                for stack, gex, wall, fell_back in outcomes:
                     ex.ledger.absorb(gex.ledger)
-                    group_launches[label] = (
-                        group_launches.get(label, 0) + gex.ledger.total.launches
-                    )
-                    group_execute_seconds[label] = (
-                        group_execute_seconds.get(label, 0.0) + wall
-                    )
+                    label = stack.key if stack.plan is None else f"union:{stack.key}"
+                    account(label, gex.ledger.total.launches, wall)
                     if fell_back:
                         n_exec_fallbacks += 1
                     else:
-                        n_grouped += len(members)
-                execute_seconds += time.perf_counter() - exec_t0
-        if execute and norm:
-            launches = ex.ledger.total.launches - base_launches
+                        n_grouped += len(stack.members)
+                execute_seconds = time.perf_counter() - exec_t0
             # Canonical-class members assembled against canonically ordered
             # gluing columns: reindex each SC back to its own multiplier
             # order (pure host-side gather, exact inverse of the column
@@ -856,6 +689,8 @@ class BatchAssembler:
                         results[idx].f = item.relabeling.unapply_sc(results[idx].f)
             if tracer.enabled:
                 record_cost_ledger(tracer.metrics, ex.ledger)
+            if executor is not None:
+                executor.ledger.absorb(ex.ledger)
 
         n_degraded = 0
         if (
@@ -880,6 +715,8 @@ class BatchAssembler:
             )
 
         after = self.cache.stats
+        union_groups = {s.key: list(s.members) for s in stacks if s.plan is not None}
+        plans = [s.plan for s in stacks if s.plan is not None]
         stats = BatchStats(
             n_subdomains=len(norm),
             n_groups=len(groups),
@@ -898,15 +735,15 @@ class BatchAssembler:
             wall_seconds=time.perf_counter() - t0,
             execution=execution,
             n_grouped=n_grouped,
-            kernel_launches=launches,
+            kernel_launches=ex.ledger.total.launches,
             execute_seconds=execute_seconds,
             group_execute_seconds=group_execute_seconds,
             group_launches=group_launches,
             n_union_groups=len(union_groups),
             n_union_members=sum(len(m) for m in union_groups.values()),
-            n_union_skipped=n_union_skipped,
-            union_padded_nnz=union_padded_nnz,
-            union_member_nnz=union_member_nnz,
+            n_union_skipped=sum(r > self.union_fill_cap for r in fill_ratios.values()),
+            union_padded_nnz=sum((p.padded_nnz for p in plans), 0.0),
+            union_member_nnz=sum((p.member_nnz for p in plans), 0.0),
             n_degraded=n_degraded,
             store_hits=after.store_hits - before.store_hits,
             store_misses=after.store_misses - before.store_misses,
@@ -1032,7 +869,6 @@ __all__ = [
     "DEFAULT_UNION_FILL_CAP",
     "UNION_FILL_BUCKETS",
     "build_artifacts",
-    "build_union_artifacts",
     "items_from_decomposition",
     "symbolic_analysis_cost",
 ]

@@ -333,7 +333,7 @@ def padding_fill_ratio(padded_nnz: float, member_nnz: float) -> float:
     members would store run exactly per-member.  The ratio is the engine's
     guard input: above ``union_fill_cap`` the extra flops/bytes of the
     padding eat the launch savings and the class falls back to per-member
-    execution (:data:`repro.batch.engine.DEFAULT_UNION_FILL_CAP`).
+    execution (:data:`repro.sparse.stacked.DEFAULT_UNION_FILL_CAP`).
     """
     return padded_nnz / member_nnz if member_nnz else 1.0
 

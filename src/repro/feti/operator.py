@@ -22,7 +22,12 @@ from repro.dd.subdomain import Subdomain
 from repro.obs import get_tracer
 from repro.sparse.cholesky import CholeskyFactor, cholesky
 from repro.sparse.ordering import compute_ordering
-from repro.sparse.stacked import StackedCSC, stack_into_union
+from repro.sparse.stacked import (
+    DEFAULT_UNION_FILL_CAP,
+    StackedCSC,
+    plan_stacks,
+    stack_into_union,
+)
 from repro.util import require
 
 
@@ -264,7 +269,11 @@ class GroupedDualOperator:
       ``[[L, 0], [0, I]]`` and padding carries structural zeros only, so
       member results are exact (no masking needed).  Classes whose
       :attr:`fill_ratio <repro.sparse.canonical.UnionPlan.fill_ratio>`
-      exceeds *union_fill_cap* fall back to their exact-pattern subgroups.
+      exceeds *union_fill_cap* keep their exact stacks.
+
+    The tiering itself is :func:`repro.sparse.stacked.plan_stacks`, shared
+    with the assembly engine; groups apply in its order (first member
+    ascending).
 
     :meth:`apply_panel_sequential` is the launch-policy comparator: the
     same chain over groups of one.  The numerics agree up to BLAS
@@ -279,7 +288,7 @@ class GroupedDualOperator:
         base: DualOperator,
         executor=None,
         signature: str = "exact",
-        union_fill_cap: float = 8.0,
+        union_fill_cap: float = DEFAULT_UNION_FILL_CAP,
     ) -> None:
         require(signature in ("exact", "near"), f"unknown signature {signature!r}")
         # Lazy import: repro.gpu imports feti-adjacent modules.
@@ -325,42 +334,32 @@ class GroupedDualOperator:
         # Lazy imports: repro.batch imports feti-adjacent modules.
         from repro.batch.fingerprint import factor_fingerprint, near_fingerprint
 
-        dec = self.base.decomposition
+        subs = self.base.decomposition.subdomains
         factors = [op.factor for op in self.base.locals]
         self._l = [f.l.tocsc() for f in factors]
-        self._btp = [
-            sub.bt.tocsr()[f.perm].tocsc()
-            for sub, f in zip(dec.subdomains, factors)
-        ]
-        by_key: dict[str, list[int]] = {}
-        for i, (sub, f) in enumerate(zip(dec.subdomains, factors)):
-            if signature == "exact":
-                key = factor_fingerprint(f, sub.bt, bt_rows=self._btp[i]).key
-            else:
-                key = near_fingerprint(sub.coords, sub.bt).key
-            by_key.setdefault(key, []).append(i)
-
-        groups: list[_ApplyGroup] = []
-        for members in by_key.values():
-            if signature == "exact" or self._patterns_equal(members):
-                groups.append(self._exact_group(members))
-            else:
-                groups.extend(self._union_groups(members, union_fill_cap))
-        return groups
-
-    def _patterns_equal(self, members: list[int]) -> bool:
-        first_l, first_bt = self._l[members[0]], self._btp[members[0]]
-        return all(
-            self._l[i].shape == first_l.shape
-            and self._l[i].nnz == first_l.nnz
-            and np.array_equal(self._l[i].indptr, first_l.indptr)
-            and np.array_equal(self._l[i].indices, first_l.indices)
-            and self._btp[i].shape == first_bt.shape
-            and self._btp[i].nnz == first_bt.nnz
-            and np.array_equal(self._btp[i].indptr, first_bt.indptr)
-            and np.array_equal(self._btp[i].indices, first_bt.indices)
-            for i in members[1:]
+        self._btp = [sub.bt.tocsr()[f.perm].tocsc() for sub, f in zip(subs, factors)]
+        # The assembly engine's planner decides who shares a stack: members
+        # of one factor fingerprint stack exactly, near classes pad.
+        stacks, _ = plan_stacks(
+            [
+                factor_fingerprint(f, sub.bt, bt_rows=btp).key
+                for sub, f, btp in zip(subs, factors, self._btp)
+            ],
+            self._l,
+            self._btp,
+            class_keys=(
+                [near_fingerprint(sub.coords, sub.bt).key for sub in subs]
+                if signature == "near"
+                else None
+            ),
+            fill_cap=union_fill_cap,
         )
+        return [
+            self._exact_group(list(s.members))
+            if s.plan is None
+            else self._union_group(list(s.members), s.plan)
+            for s in stacks
+        ]
 
     def _exact_group(self, members: list[int]) -> _ApplyGroup:
         return _ApplyGroup(
@@ -376,39 +375,19 @@ class GroupedDualOperator:
             ),
         )
 
-    def _union_groups(self, members: list[int], fill_cap: float) -> list[_ApplyGroup]:
-        from repro.sparse.canonical import union_plan
-
-        plan = union_plan(
-            [self._l[i] for i in members], [self._btp[i] for i in members]
-        )
-        if plan.fill_ratio > fill_cap:
-            # Padding too expensive: execute the exact-pattern subgroups.
-            sub: dict[tuple, list[int]] = {}
-            for i in members:
-                key = (
-                    self._l[i].shape, self._l[i].indices.tobytes(),
-                    self._btp[i].shape, self._btp[i].indices.tobytes(),
-                )
-                sub.setdefault(key, []).append(i)
-            return [self._exact_group(g) for g in sub.values()]
-        m_max = plan.shape[1]
-        ids_stack = np.zeros((len(members), m_max), dtype=np.intp)
+    def _union_group(self, members: list[int], plan) -> _ApplyGroup:
+        ids_stack = np.zeros((len(members), plan.shape[1]), dtype=np.intp)
         for row, i in enumerate(members):
             ids_stack[row, : self._ids[i].size] = self._ids[i]
-        return [
-            _ApplyGroup(
-                members=members,
-                l_stack=stack_into_union(
-                    [self._l[i] for i in members], plan.l_union, pad_diagonal=True
-                ),
-                bt_stack=stack_into_union(
-                    [self._btp[i] for i in members], plan.bt_union
-                ),
-                ids_stack=ids_stack,
-                tier="union",
-            )
-        ]
+        return _ApplyGroup(
+            members=members,
+            l_stack=stack_into_union(
+                [self._l[i] for i in members], plan.l_union, pad_diagonal=True
+            ),
+            bt_stack=stack_into_union([self._btp[i] for i in members], plan.bt_union),
+            ids_stack=ids_stack,
+            tier="union",
+        )
 
     # -- application --------------------------------------------------------
 

@@ -141,34 +141,27 @@ class StackedPreconditioner:
 
     def __init__(self, decomposition: Decomposition, executor=None) -> None:
         from repro.gpu.runtime import gpu_executor
-        from repro.sparse.stacked import StackedCSC
+        from repro.sparse.stacked import StackedCSC, plan_stacks
+        from repro.sparse.symbolic import pattern_digest
 
         self.decomposition = decomposition
         self.executor = executor if executor is not None else gpu_executor()
-        by_key: dict[bytes, list[int]] = {}
-        mats = []
-        for i, sub in enumerate(decomposition.subdomains):
-            k = sub.k.tocsc()
-            bt = sub.bt.tocsc()
-            key = b"|".join(
-                (
-                    np.asarray(k.shape).tobytes(), k.indptr.tobytes(),
-                    k.indices.tobytes(), np.asarray(bt.shape).tobytes(),
-                    bt.indptr.tobytes(), bt.indices.tobytes(),
-                )
-            )
-            by_key.setdefault(key, []).append(i)
-            mats.append((k, bt))
-        self.groups = []
         subs = decomposition.subdomains
-        for members in by_key.values():
-            self.groups.append(
-                (
-                    StackedCSC.from_matrices([mats[i][0] for i in members]),
-                    StackedCSC.from_matrices([mats[i][1] for i in members]),
-                    np.stack([subs[i].multiplier_ids for i in members]),
-                )
+        ks = [sub.k.tocsc() for sub in subs]
+        bts = [sub.bt.tocsc() for sub in subs]
+        stacks, _ = plan_stacks(
+            [f"{pattern_digest(k)}|{pattern_digest(bt)}" for k, bt in zip(ks, bts)],
+            ks,
+            bts,
+        )
+        self.groups = [
+            (
+                StackedCSC.from_matrices([ks[i] for i in s.members]),
+                StackedCSC.from_matrices([bts[i] for i in s.members]),
+                np.stack([subs[i].multiplier_ids for i in s.members]),
             )
+            for s in stacks
+        ]
 
     @property
     def n_groups(self) -> int:

@@ -30,7 +30,7 @@ The kernels are pattern-driven, so the union-padded stacks of
 (``[[L, 0], [0, I]]`` factors with explicit structural zeros) run unchanged
 and price the padding fill faithfully — every padded entry is charged like
 a real one, which is why the batch engine guards the union tier with a
-fill-ratio cap (:data:`repro.batch.engine.DEFAULT_UNION_FILL_CAP`).
+fill-ratio cap (:data:`repro.sparse.stacked.DEFAULT_UNION_FILL_CAP`).
 ``docs/batching.md`` describes the grouped execution path end to end,
 ``docs/pipeline.md`` the per-kernel roles inside one assembly.
 """

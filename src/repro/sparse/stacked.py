@@ -9,12 +9,12 @@ operations over the whole group instead of ``group`` separate SciPy calls —
 the host-side analogue of the stacked device buffers a cuBLAS ``*Batched``
 kernel consumes.
 
-Everything here is numerics-only; cost accounting lives with the batched
-kernels in :mod:`repro.gpu.kernels`.  With orientation-canonical
-relabeling (:class:`repro.sparse.canonical.CanonicalRelabeling`) the
-members stacked here can come from *different mirror classes* — their
-relabeled patterns are bit-equal, which :meth:`StackedCSC.from_matrices`
-validates entry-for-entry.  See ``docs/batching.md``.
+Everything here is packing, plus who packs with whom (:func:`plan_stacks`);
+cost accounting lives with the batched kernels in :mod:`repro.gpu.kernels`.
+With orientation-canonical relabeling
+(:class:`repro.sparse.canonical.CanonicalRelabeling`) the members stacked
+here can come from *different mirror classes* — their relabeled patterns are
+bit-equal, which :meth:`StackedCSC.from_matrices` validates entry-for-entry.
 """
 
 from __future__ import annotations
@@ -24,7 +24,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from repro.obs import get_tracer
+from repro.sparse.canonical import UnionPlan, union_plan
 from repro.util import require
+
+#: Default fill-ratio cap of union-padded stacks: a class whose padded stack
+#: would store/stream more than this multiple of its members' exact entries
+#: keeps its exact stacks.  Lenient — the batched kernels densify blocks, so
+#: moderate fill mostly costs zeros, while launch savings scale with the class.
+DEFAULT_UNION_FILL_CAP = 8.0
 
 
 def _canonical_csc(a: sp.spmatrix) -> sp.csc_matrix:
@@ -193,6 +201,65 @@ def stack_into_union(
     )
 
 
+@dataclass(frozen=True)
+class Stack:
+    """One launch unit of a stacking plan: *members* go through the kernel
+    chain together under *key* — padded into the union *plan* when one is
+    set, and alone through the per-member call when not *stacked*."""
+
+    key: str
+    members: tuple[int, ...]
+    plan: UnionPlan | None = None
+    stacked: bool = True
+
+
+def plan_stacks(
+    exact_keys: list[str],
+    l_mats: list[sp.spmatrix],
+    bt_mats: list[sp.spmatrix],
+    class_keys: list[str | None] | None = None,
+    fill_cap: float = float("inf"),
+    stack_exact=lambda key, members: True,
+) -> tuple[list[Stack], dict[str, float]]:
+    """Decide which members share a stack — the one grouping policy behind
+    the batch engine's ``execution=`` modes, the grouped dual operator and
+    the stacked preconditioner.
+
+    A class (members of one *class_keys* value; ``None`` = no class) that
+    spans at least two exact keys pads into its
+    :func:`~repro.sparse.canonical.union_plan` over *l_mats* / *bt_mats*
+    when ``fill_ratio <= fill_cap``.  Every other member stacks with the
+    remaining members of its exact key when ``stack_exact(key, members)``
+    says so and runs singly (a ``stacked=False`` stack of one) otherwise.
+    Returns the stacks ordered by first member, and the fill ratio of every
+    class that was considered for padding, kept or not.
+    """
+    classes: dict[str, list[int]] = {}
+    for i, ck in enumerate(class_keys or ()):
+        if ck is not None:
+            classes.setdefault(ck, []).append(i)
+    stacks, fill_ratios, padded = [], {}, set()
+    for ck, members in classes.items():
+        if len({exact_keys[i] for i in members}) < 2:
+            continue  # one exact pattern: the exact stack already batches it
+        with get_tracer().span("batch.union_pad", group=ck[:16], n_members=len(members)):
+            plan = union_plan([l_mats[i] for i in members], [bt_mats[i] for i in members])
+        fill_ratios[ck] = plan.fill_ratio
+        if plan.fill_ratio <= fill_cap:
+            stacks.append(Stack(ck, tuple(members), plan))
+            padded.update(members)
+    exact: dict[str, list[int]] = {}
+    for i, key in enumerate(exact_keys):
+        if i not in padded:
+            exact.setdefault(key, []).append(i)
+    for key, members in exact.items():
+        if stack_exact(key, members):
+            stacks.append(Stack(key, tuple(members)))
+        else:
+            stacks.extend(Stack(key, (i,), stacked=False) for i in members)
+    return sorted(stacks, key=lambda s: s.members[0]), fill_ratios
+
+
 def stack_union_permuted_dense(
     mats: list[sp.spmatrix], union, col_perm: np.ndarray
 ) -> np.ndarray:
@@ -246,7 +313,10 @@ def stack_permuted_dense(
 
 
 __all__ = [
+    "DEFAULT_UNION_FILL_CAP",
+    "Stack",
     "StackedCSC",
+    "plan_stacks",
     "stack_into_union",
     "stack_permuted_dense",
     "stack_union_permuted_dense",

@@ -393,6 +393,62 @@ def test_engine_partial_group_failure_only_falls_back_failed_group(floating_4x4)
         assert np.allclose(b.f, a.f, rtol=RTOL, atol=ATOL * scale)
 
 
+@pytest.mark.parametrize("execution", ["per-member", "auto"])
+def test_engine_single_member_failure_propagates(execution):
+    """A member run singly has nothing to degrade to: the original exception
+    reaches the caller — no fallback warning, no fallback counter."""
+    import warnings
+
+    from repro.dd import decompose
+    from repro.fem import heat_transfer_2d
+
+    # floating 3x3: the centre subdomain is a class of one, below auto's threshold
+    items = items_from_decomposition(
+        decompose(heat_transfer_2d(12, dirichlet=()), grid=(3, 3))
+    )
+    engine = BatchAssembler(config=default_config("gpu", 2))
+    calls = []
+
+    def boom(*args, **kwargs):
+        calls.append(1)
+        raise RuntimeError("per-member kernel exploded")
+
+    engine.assembler.assemble = boom
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match="per-member kernel exploded"):
+            engine.assemble_batch(items, execution=execution)
+    assert len(calls) == 1  # nothing retried it
+
+
+def test_engine_shared_executor_metrics_count_each_call_once():
+    """Two traced batches on one caller-supplied executor: the ``gpu.*``
+    counters record each call's own ledger (not the cumulative one), and
+    the caller's executor still ends up with both."""
+    from repro.dd import decompose
+    from repro.fem import heat_transfer_2d
+    from repro.obs import tracing
+
+    items = items_from_decomposition(
+        decompose(heat_transfer_2d(8, dirichlet=()), grid=(2, 2))
+    )
+    engine = BatchAssembler(config=default_config("gpu", 2))
+    shared = Executor(A100_40GB)
+    with tracing() as tr:
+        first = engine.assemble_batch(items, executor=shared)
+        elapsed_first = shared.elapsed
+        second = engine.assemble_batch(items, executor=shared)
+    assert first.stats.kernel_launches == second.stats.kernel_launches > 0
+    total = first.stats.kernel_launches + second.stats.kernel_launches
+    assert tr.metrics.counter("batch.kernel_launches") == total
+    assert tr.metrics.counter("gpu.launches") == total
+    assert shared.ledger.total.launches == total
+    assert tr.metrics.counter("gpu.flops") == shared.ledger.total.flops
+    assert tr.metrics.counter("gpu.bytes_moved") == shared.ledger.total.bytes_moved
+    assert tr.metrics.counter("gpu.sim_seconds") == pytest.approx(shared.elapsed)
+    assert shared.elapsed == pytest.approx(2 * elapsed_first)
+
+
 def _feti_operator(dirichlet=(), cells=16, grid=(4, 4), approach="impl_mkl"):
     from repro.dd import decompose
     from repro.fem import heat_transfer_2d

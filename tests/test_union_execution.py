@@ -18,9 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.batch import BatchAssembler, items_from_decomposition
-from repro.batch.engine import build_artifacts, build_union_artifacts
+from repro.batch.engine import build_artifacts
 from repro.core import default_config
-from repro.core.estimate import padding_fill_ratio, union_padding_overhead
+from repro.core.estimate import (
+    FactorPattern,
+    padding_fill_ratio,
+    union_padding_overhead,
+)
 from repro.dd import decompose
 from repro.fem import heat_problem
 from repro.part import make_mesh
@@ -265,18 +269,27 @@ def test_union_estimate_prices_padding_conservatively(jittered_items):
             [items[i].factor.l for i in members],
             [_engine_bt_rows(items[i]) for i in members],
         )
-        union_art = build_union_artifacts(
-            plan, engine.config, spec, transfer, fingerprint=None
+        # a union is just another pattern pair for the one artifact builder
+        union_art = build_artifacts(
+            FactorPattern(
+                n=plan.shape[0],
+                indptr=np.asarray(plan.l_union.indptr),
+                indices=np.asarray(plan.l_union.indices),
+            ),
+            plan.bt_union.pattern_csc(),
+            engine.config,
+            spec,
+            transfer,
+            fingerprint=None,
         )
         member_arts = [
             build_artifacts(
-                items[i].factor,
-                items[i].bt,
+                FactorPattern.from_factor(items[i].factor),
+                _engine_bt_rows(items[i]),
                 engine.config,
                 spec,
                 transfer,
                 fingerprint=None,
-                bt_rows=_engine_bt_rows(items[i]),
             )
             for i in members
         ]
