@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices DESIGN.md calls out.
+"""Ablation benchmarks for the design choices docs/architecture.md calls out.
 
 Not paper figures — these isolate the knobs behind them:
 

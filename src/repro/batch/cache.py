@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.core.assembler import MemoryEstimate, PreparedPattern
-from repro.core.estimate import FactorPattern
 from repro.batch.fingerprint import Fingerprint
+from repro.sparse.stacked import StackedCSC
 from repro.sparse.symbolic import SymbolicFactor
 from repro.util import require
 
@@ -43,7 +43,7 @@ class SymbolicArtifacts:
 
     fingerprint: Fingerprint
     prepared: PreparedPattern
-    factor_pattern: FactorPattern
+    factor_pattern: StackedCSC  # zero-member stack: the pattern alone
     symbolic: SymbolicFactor
     estimate: dict[str, float]
     memory: MemoryEstimate

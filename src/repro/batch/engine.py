@@ -71,11 +71,6 @@ from repro.batch.fingerprint import (
 from repro.batch.stats import BatchStats
 from repro.core.assembler import SchurAssembler, SchurAssemblyResult, prepare_pattern
 from repro.core.config import AssemblyConfig
-from repro.core.estimate import (
-    FactorPattern,
-    estimate_from_patterns,
-    union_padding_overhead,
-)
 from repro.feti.timing import CHOLMOD, FactorizationLibrary
 from repro.gpu.costmodel import KernelCost, csx_bytes
 from repro.gpu.runtime import Executor
@@ -85,7 +80,7 @@ from repro.runtime.pipeline import PipelineResult, SubdomainWork, run_preprocess
 from repro.runtime.scheduler import host_worker_count
 from repro.sparse.canonical import CanonicalRelabeling
 from repro.sparse.cholesky import CholeskyFactor
-from repro.sparse.stacked import DEFAULT_UNION_FILL_CAP, Stack, plan_stacks
+from repro.sparse.stacked import DEFAULT_UNION_FILL_CAP, Stack, StackedCSC, plan_stacks
 from repro.sparse.symbolic import symbolic_from_pattern
 from repro.util import require
 
@@ -196,7 +191,7 @@ def symbolic_analysis_cost(
 
 
 def build_artifacts(
-    patt: FactorPattern,
+    patt: StackedCSC,
     bt_rows: sp.spmatrix,
     config: AssemblyConfig,
     spec: DeviceSpec,
@@ -204,22 +199,22 @@ def build_artifacts(
     fingerprint,
 ) -> SymbolicArtifacts:
     """Run the full pattern-only analysis of the pattern pair a stack
-    executes on: the factor pattern *patt* and the row-permuted gluing
-    pattern *bt_rows*.
+    executes on: the factor pattern *patt* (a zero-member stack) and the
+    row-permuted gluing pattern *bt_rows*.  The cost estimate is the
+    assembler's own kernel chain run on that zero-member stack.
 
     For an exact key that is any member's own pair
-    (``FactorPattern.from_factor(factor)``, ``bt.tocsr()[factor.perm]``);
+    (``StackedCSC.pattern_of(factor.l)``, ``bt.tocsr()[factor.perm]``);
     for a padded near class it is the class's structural union
     (:class:`~repro.sparse.canonical.UnionPlan`) — just another pattern
     pair, cached under its :func:`~repro.batch.fingerprint.union_fingerprint`.
     """
-    n, m = patt.n, bt_rows.shape[1]
+    n, m = patt.shape[0], bt_rows.shape[1]
     with get_tracer().span("batch.symbolic", n=n, m=m):
         prepared = prepare_pattern(bt_rows.tocsc(), config, factor_pattern=patt)
-        estimate = estimate_from_patterns(patt, prepared.shape, config, spec, transfer)
         assembler = SchurAssembler(config=config, spec=spec, transfer=transfer)
-        # The memory model reads order + stored entries only: a pattern will do.
-        memory = assembler.estimate_memory(patt, m)
+        estimate = assembler.estimate_pattern(patt, prepared)
+        memory = assembler.estimate_memory(n, patt.nnz, m)
     return SymbolicArtifacts(
         fingerprint=fingerprint,
         prepared=prepared,
@@ -228,6 +223,17 @@ def build_artifacts(
         estimate=estimate,
         memory=memory,
         analysis_seconds=symbolic_analysis_cost(n, patt.nnz, m, bt_rows.nnz),
+    )
+
+
+def union_padding_overhead(
+    union_estimate: dict[str, float], member_estimates: list[dict[str, float]]
+) -> float:
+    """Priced padding overhead of one union class, in simulated seconds: the
+    batched run charges every member the padded-pattern estimate, the exact
+    per-member runs would charge each its own (launch savings not included)."""
+    return len(member_estimates) * union_estimate["total"] - sum(
+        e["total"] for e in member_estimates
     )
 
 
@@ -341,7 +347,7 @@ class BatchAssembler:
         return self.cache.get_or_build(
             fp.key,
             lambda: build_artifacts(
-                FactorPattern.from_factor(factor),
+                StackedCSC.pattern_of(factor.l),
                 bt_rows,
                 self.config,
                 self.assembler.spec,
@@ -555,11 +561,7 @@ class BatchAssembler:
             art, hit = self.cache.get_or_build(
                 ufp.key,
                 lambda: build_artifacts(
-                    FactorPattern(
-                        n=plan.shape[0],
-                        indptr=np.asarray(plan.l_union.indptr),
-                        indices=np.asarray(plan.l_union.indices),
-                    ),
+                    StackedCSC.pattern_of(plan.l_union.pattern_csc()),
                     plan.bt_union.pattern_csc(),
                     self.config,
                     self.assembler.spec,

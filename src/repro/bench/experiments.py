@@ -3,8 +3,8 @@
 Each ``experiment_*`` function regenerates the corresponding result:
 workload generation, parameter sweep, baselines, and the same rows/series
 the paper plots.  Timings are simulated seconds from the device cost model
-(see DESIGN.md); the *shape* — who wins, by what factor, where crossovers
-fall — is the reproduction target, not absolute silicon numbers.
+(see docs/architecture.md); the *shape* — who wins, by what factor, where
+crossovers fall — is the reproduction target, not absolute silicon numbers.
 
 ``quick=True`` (the default used by the pytest benches) trims the sweeps to
 sizes this box can build in minutes; ``paper_scale=True`` extends towards
@@ -437,7 +437,7 @@ def experiment_fig10(quick: bool = True, paper_scale: bool = False) -> Experimen
 
 
 # ---------------------------------------------------------------------------
-# Ablations — design choices DESIGN.md calls out (not paper figures)
+# Ablations — design choices docs/architecture.md calls out (not paper figures)
 # ---------------------------------------------------------------------------
 
 def experiment_ablation_ordering(

@@ -2,8 +2,7 @@
 
 Every experiment driver returns an :class:`ExperimentResult` holding the
 paper-style series tables; the benchmark scripts print them and persist them
-under ``benchmarks/results/`` so runs can be diffed and EXPERIMENTS.md can
-quote them.
+under ``benchmarks/results/`` so runs can be diffed (``cmp``) and quoted.
 """
 
 from __future__ import annotations

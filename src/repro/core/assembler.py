@@ -13,10 +13,11 @@ transposed gluing matrix ``B̃^T``, assembles the local dual operator
 4. SYRK (orig / input-split / output-split),
 5. permute the result back to the original multiplier order.
 
-Steps 2–5 are one body over a packed ``(group, n, m)`` stack; the three
-entry points only differ in how they pack it — one subdomain (a group of
-one), one fingerprint group, or one near class padded into its pattern
-union.
+Steps 2–5 are one chain over a packed ``(group, n, m)`` stack; the entry
+points only differ in how they pack it — one subdomain (a group of one),
+one fingerprint group, one near class padded into its pattern union, or
+*nobody*: :meth:`SchurAssembler.estimate` runs the chain on a zero-member
+stack, which executes nothing and charges what a stack of one would.
 
 Numerics are exact; time is simulated on the executor's device roofline
 plus the PCIe transfer model.  A breakdown per stage is returned so the
@@ -40,7 +41,7 @@ from repro.core.trsm_split import (
     trsm_rhs_split,
 )
 from repro.gpu.costmodel import FLOAT64_BYTES, csx_bytes, dense_bytes
-from repro.gpu.runtime import Executor
+from repro.gpu.runtime import Executor, PricingExecutor
 from repro.gpu.spec import A100_40GB, EPYC_7763_CORE, PCIE4_X16, DeviceSpec, TransferSpec
 from repro.sparse.canonical import UnionPlan
 from repro.sparse.cholesky import CholeskyFactor
@@ -101,15 +102,15 @@ class PreparedPattern:
 def prepare_pattern(
     bt_rows: sp.csc_matrix,
     config: AssemblyConfig,
-    factor_pattern=None,
+    factor_pattern: StackedCSC | None = None,
 ) -> PreparedPattern:
     """Build the pattern artifacts for one assembly.
 
     Single source of truth for the stepped-permutation branch, shared by
     :class:`SchurAssembler` and the batch engine so the two paths cannot
     drift apart.  *bt_rows* is ``B̃^T`` with the factor's row
-    permutation already applied.  When *factor_pattern* (an object exposing
-    the factor's sorted CSC ``indptr``/``indices``) is given and the
+    permutation already applied.  When *factor_pattern* (any stack over the
+    factor's pattern, e.g. :meth:`StackedCSC.pattern_of`) is given and the
     configuration uses factor-split pruning, the pruning plan is built too;
     without it the plan stays ``None`` and the kernel scans ad hoc.
     """
@@ -125,12 +126,7 @@ def prepare_pattern(
         and config.trsm_variant == "factor_split"
         and config.prune
     ):
-        plan = PruningPlan.from_pattern(
-            factor_pattern.indptr,
-            factor_pattern.indices,
-            n,
-            config.trsm_blocks.resolve(n),
-        )
+        plan = PruningPlan.from_pattern(factor_pattern, config.trsm_blocks.resolve(n))
     return PreparedPattern(col_perm=col_perm, shape=shape, pruning_plan=plan)
 
 
@@ -168,27 +164,38 @@ class SchurAssembler:
             transfer=None,
         )
 
-    def estimate_memory(self, factor: CholeskyFactor, n_multipliers: int) -> MemoryEstimate:
-        """Device-memory footprint of assembling one subdomain."""
-        persistent = n_multipliers * n_multipliers * FLOAT64_BYTES
-        temporary = csx_bytes(factor.nnz, factor.n) + dense_bytes(
-            (factor.n, n_multipliers)
-        )
+    def estimate_memory(self, n: int, nnz: int, m: int) -> MemoryEstimate:
+        """Device-memory footprint of assembling one subdomain: factor order
+        *n* with *nnz* stored entries, *m* multipliers."""
+        persistent = m * m * FLOAT64_BYTES
+        temporary = csx_bytes(nnz, n) + dense_bytes((n, m))
         if self.config.factor_storage == "dense":
-            temporary += dense_bytes((factor.n, factor.n))
+            temporary += dense_bytes((n, n))
         return MemoryEstimate(persistent=persistent, temporary=temporary)
 
     def estimate(self, factor: CholeskyFactor, bt: sp.spmatrix) -> dict[str, float]:
-        """Price the assembly without executing it (pattern-only dry run).
+        """Price the assembly without executing it: :meth:`assemble` on a
+        stack of zero members.
 
         Returns the same per-stage breakdown as :meth:`assemble` plus a
-        ``"total"`` key; see :mod:`repro.core.estimate`.  Used by the
-        benchmark sweeps at subdomain sizes where executing the numerics in
-        pure Python would be infeasible.
+        ``"total"`` key.  Used by the benchmark sweeps at subdomain sizes (up
+        to 70k DOFs in 3-D) where executing the numerics in pure Python
+        would be infeasible; ``tests/test_estimate.py`` asserts it equals the
+        executed breakdown where both run.
         """
-        from repro.core.estimate import estimate_assembly
+        require(sp.issparse(bt), "bt must be sparse")
+        require(bt.shape[0] == factor.n, "bt row count mismatch")
+        prepared = prepare_pattern(bt.tocsr()[factor.perm].tocsc(), self.config)
+        return self.estimate_pattern(StackedCSC.pattern_of(factor.l), prepared)
 
-        return estimate_assembly(factor, bt, self.config, self.spec, self.transfer)
+    def estimate_pattern(self, patt: StackedCSC, prepared: PreparedPattern) -> dict[str, float]:
+        """:meth:`estimate` from pattern artifacts alone — the cacheable
+        form: *patt* is the zero-member stack over the factor pattern
+        (:meth:`StackedCSC.pattern_of`)."""
+        x_stack = np.empty((0, prepared.shape.n_rows, prepared.shape.n_cols))
+        _, breakdown = self._run_chain(patt, x_stack, prepared, PricingExecutor(self.spec))
+        breakdown["total"] = sum(breakdown.values())
+        return breakdown
 
     def assemble(
         self,
@@ -370,32 +377,61 @@ class SchurAssembler:
         executor: Executor | None,
         keep_y: bool = False,
     ) -> list[SchurAssemblyResult]:
-        """The one assembler body: transfer → TRSM → SYRK → inverse
-        symmetric permute over a packed stack, one result per member.
+        """Run the chain over a packed stack of members and hand every
+        member its result and an equal share of the stack's breakdown."""
+        g = x_stack.shape[0]
+        ex = executor if executor is not None else Executor(self.spec)
+        f_out, breakdown = self._run_chain(stacked_l, x_stack, prepared, ex)
+        share = {k: v / g for k, v in breakdown.items()}
+        elapsed = sum(share.values())
+        return [
+            SchurAssemblyResult(
+                f=f_out[i],
+                elapsed=elapsed,
+                breakdown=dict(share),
+                shape=prepared.shape,
+                col_perm=prepared.col_perm,
+                # Copy: a view would pin the whole group stack through any
+                # single retained result.
+                y=x_stack[i].copy() if keep_y else None,
+            )
+            for i in range(g)
+        ]
 
-        The kernels are pattern-driven, so exact stacks and padded union
-        stacks differ only in how they were packed.  Mutates *x_stack* in
-        place (the TRSM solution).
+    def _run_chain(
+        self,
+        stacked_l: StackedCSC,
+        x_stack: np.ndarray,
+        prepared: PreparedPattern,
+        ex: Executor,
+    ) -> tuple[np.ndarray, dict[str, float]]:
+        """The one assembler body: transfer → TRSM → SYRK → inverse
+        symmetric permute over a packed stack; returns the ``(group, m, m)``
+        SC stack and the simulated seconds per stage.
+
+        The kernels are pattern-driven, so exact stacks, padded union stacks
+        and the zero-member stack of a dry run differ only in how they were
+        packed.  Mutates *x_stack* in place (the TRSM solution).
         """
         cfg = self.config
         g, n, m = x_stack.shape
-        shape, col_perm = prepared.shape, prepared.col_perm
+        priced = max(g, 1)  # like the kernels: zero members price as one
+        shape = prepared.shape
         require(
             shape.n_rows == n and shape.n_cols == m,
             "prepared pattern does not match factor/bt dimensions",
         )
-        ex = executor if executor is not None else Executor(self.spec)
         breakdown = {"transfer": 0.0, "permute": 0.0, "trsm": 0.0, "syrk": 0.0}
         mark = ex.elapsed
         # The column permutation + densification is a memory-traffic op.
-        ex.charge_bytes(2.0 * x_stack.size * FLOAT64_BYTES)
+        ex.charge_bytes(2.0 * (priced * n * m) * FLOAT64_BYTES)
         breakdown["permute"] += ex.elapsed - mark
         mark = ex.elapsed
 
         # --- transfers (GPU only): one stacked copy for the group -----------
         if self.transfer is not None:
             h2d_bytes = csx_bytes(stacked_l.nnz, n) + dense_bytes((n, m))
-            breakdown["transfer"] += self.transfer.time(g * h2d_bytes)
+            breakdown["transfer"] += self.transfer.time(priced * h2d_bytes)
 
         # --- TRSM -------------------------------------------------------------
         if cfg.trsm_variant == "orig":
@@ -430,24 +466,9 @@ class SchurAssembler:
         mark = ex.elapsed
 
         # --- permute the SCs back to the original multiplier order -----------
-        f_out = ex.symmetric_permute(f_stack, col_perm, inverse=True)
+        f_out = ex.symmetric_permute(f_stack, prepared.col_perm, inverse=True)
         breakdown["permute"] += ex.elapsed - mark
-
-        share = {k: v / g for k, v in breakdown.items()}
-        elapsed = sum(share.values())
-        return [
-            SchurAssemblyResult(
-                f=f_out[i],
-                elapsed=elapsed,
-                breakdown=dict(share),
-                shape=shape,
-                col_perm=col_perm,
-                # Copy: a view would pin the whole group stack through any
-                # single retained result.
-                y=x_stack[i].copy() if keep_y else None,
-            )
-            for i in range(g)
-        ]
+        return f_out, breakdown
 
 
 __all__ = [

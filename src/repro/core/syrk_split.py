@@ -17,9 +17,9 @@ one triangle; mirroring is free in the cost model, matching the library
 behaviour of handling symmetric matrices by reference to one triangle).
 
 Every variant runs on ``(group, n, m)`` stacks — a whole fingerprint group
-per call, a single subdomain being the stack of one: identical FLOPs and
-traffic to ``group`` stacks of one, one launch per kernel (cuBLAS
-``*Batched``).
+per call, a single subdomain being the stack of one, a dry run the stack of
+zero: identical FLOPs and traffic to ``group`` stacks of one, one launch
+per kernel (cuBLAS ``*Batched``).
 """
 
 from __future__ import annotations

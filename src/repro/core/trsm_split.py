@@ -23,7 +23,8 @@ decisions, pruning rows) depends only on the *shared* pattern, so one pass
 over the blocks issues one kernel per step for the whole stack.  A stack
 charges exactly the FLOPs and memory traffic of ``group`` stacks of one —
 only the launch count shrinks by the group size; a single subdomain is the
-stack of one.
+stack of one, and a dry run (``SchurAssembler.estimate``) walks the same
+block loops on the stack of zero.
 """
 
 from __future__ import annotations
@@ -67,31 +68,18 @@ class PruningPlan:
         return self.n == n and self.blocks == tuple(resolved)
 
     @classmethod
-    def from_pattern(
-        cls,
-        indptr: np.ndarray,
-        indices: np.ndarray,
-        n: int,
-        resolved: list[tuple[int, int]],
-    ) -> "PruningPlan":
-        """Build the plan from a lower-triangular CSC pattern (sorted rows)."""
-        rows: list[np.ndarray] = []
-        nnz: list[int] = []
-        for r0, r1 in resolved:
-            chunks = []
-            total = 0
-            for j in range(r0, r1):
-                col = indices[indptr[j] : indptr[j + 1]]
-                lo = int(np.searchsorted(col, r1, side="left"))
-                if col.size > lo:
-                    chunks.append(col[lo:])
-                    total += col.size - lo
-            if chunks:
-                rows.append(np.unique(np.concatenate(chunks)) - r1)
-            else:
-                rows.append(np.empty(0, dtype=np.intp))
-            nnz.append(total)
-        return cls(n=n, blocks=tuple(resolved), rows=tuple(rows), nnz=tuple(nnz))
+    def from_pattern(cls, l: StackedCSC, resolved: list[tuple[int, int]]) -> "PruningPlan":
+        """Build the plan from the factor's pattern — any stack over it, the
+        zero-member one included: exactly the sub-diagonal blocks
+        :func:`trsm_factor_split` extracts, asked for their rows."""
+        n = l.shape[0]
+        subs = [l.block(r1, n, r0, r1) for r0, r1 in resolved]
+        return cls(
+            n=n,
+            blocks=tuple(resolved),
+            rows=tuple(sub.nonempty_rows() for sub in subs),
+            nnz=tuple(sub.nnz for sub in subs),
+        )
 
 
 def _check_stacks(l: StackedCSC, x_stack: np.ndarray, shape: SteppedShape | None, storage: str) -> int:

@@ -249,10 +249,10 @@ def estimate_approach_timing(
     """Predict an approach's per-subdomain timings from patterns alone.
 
     Mirrors :meth:`DualOperatorApproach.preprocess_subdomain` but never
-    executes numerics: assembler approaches use the dry-run estimator of
-    :mod:`repro.core.estimate`, expl_mkl/expl_hybrid the etree-reach
-    estimator of :mod:`repro.sparse.schur_estimate`.  Used by the Fig. 9 /
-    Fig. 10 benchmark sweeps at sizes where execution is infeasible;
+    executes numerics: assembler approaches run the assembler's own kernel
+    chain on a zero-member stack (``SchurAssembler.estimate``), expl_mkl /
+    expl_hybrid the etree-reach estimator of :mod:`repro.sparse.schur_estimate`.
+    Used by the Fig. 9 / Fig. 10 sweeps at sizes where execution is infeasible;
     ``tests/test_approach_estimates.py`` checks agreement with the executed
     path.
     """

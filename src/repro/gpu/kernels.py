@@ -16,14 +16,14 @@ There is **one** kernel family and it is stacked: dense operands are
 :class:`~repro.sparse.stacked.StackedCSC` value stacks over one shared
 pattern.  A call charges ``group`` times the per-member FLOPs and memory
 traffic but only **one** launch — the cuBLAS ``*Batched`` pricing (see
-:meth:`~repro.gpu.costmodel.KernelCost.batched`).  A single subdomain is a
-stack of one: batching is a launch policy of the caller, not a second
-algorithm.  Only the two triangular solves look at the group size of the
-operand they are handed: a stack of one goes to the per-matrix library
-routine (LAPACK ``trtrs``, SuperLU), a larger stack through a blocked
-substitution in broadcasted 3-D NumPy operations (stacked ``(group, b, b)``
-diagonal solves via ``np.linalg.solve`` followed by broadcasted GEMM
-updates).
+:meth:`~repro.gpu.costmodel.KernelCost.batched`).  Three stack sizes, one
+algorithm: ``G`` members are a class, one is a subdomain, and zero is a
+*dry run* — empty arrays still carry ``rows``, ``cols`` and the pattern, so
+the cost is computed from the operands as always and priced as the stack
+of one it stands for (:func:`_priced`).  Only the two triangular solves
+look at the group size: a stack of one goes to the per-matrix library
+routine (LAPACK ``trtrs``, SuperLU), a larger one through the blocked
+substitution of :func:`_blocked_substitution`, an empty one through neither.
 
 The kernels are pattern-driven, so the union-padded stacks of
 :meth:`~repro.core.assembler.SchurAssembler.assemble_union`
@@ -37,15 +37,12 @@ fill-ratio cap (:data:`repro.sparse.stacked.DEFAULT_UNION_FILL_CAP`).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.linalg
 
-from repro.gpu.costmodel import (
-    FLOAT64_BYTES,
-    KernelCost,
-    csx_bytes,
-    dense_bytes,
-)
+from repro.gpu.costmodel import FLOAT64_BYTES, KernelCost, csx_bytes, dense_bytes
 from repro.sparse.stacked import StackedCSC
 from repro.sparse.triangular import TriangularSolver
 from repro.util import (
@@ -64,8 +61,12 @@ BATCHED_TRSM_BLOCK = 64
 
 def _group(stack: np.ndarray, name: str) -> int:
     require(stack.ndim == 3, f"{name} must be a (group, rows, cols) stack")
-    require(stack.shape[0] >= 1, f"{name} must stack at least one member")
     return int(stack.shape[0])
+
+
+def _priced(per: KernelCost, g: int) -> KernelCost:
+    """One launch for the whole stack; zero members (a dry run) price as one."""
+    return per.batched(max(g, 1))
 
 
 def _accumulate(c_stack: np.ndarray, update: np.ndarray, alpha: float, beta: float) -> None:
@@ -126,7 +127,7 @@ def trsm_dense(l_stack: np.ndarray, x_stack: np.ndarray, trans: bool = False) ->
         x_stack[0] = scipy.linalg.solve_triangular(
             l_stack[0], x_stack[0], lower=True, trans="T" if trans else "N", check_finite=False
         )
-    else:
+    elif g > 1:
         _blocked_substitution(l_stack, x_stack, trans)
     per = KernelCost(
         flops=trsm_dense_flops(n, m),
@@ -134,7 +135,7 @@ def trsm_dense(l_stack: np.ndarray, x_stack: np.ndarray, trans: bool = False) ->
         launches=1,
         char_dim=float(min(n, m)) if min(n, m) > 0 else 1.0,
     )
-    return per.batched(g)
+    return _priced(per, g)
 
 
 def trsm_sparse(
@@ -164,7 +165,7 @@ def trsm_sparse(
         if solver is None:
             solver = TriangularSolver(l.member(0))
         x_stack[0] = solver.solve(x_stack[0], transpose=trans)
-    else:
+    elif g > 1:
         _blocked_substitution(l.toarray(), x_stack, trans)
     per = KernelCost(
         flops=trsm_sparse_flops(l.nnz, m),
@@ -173,7 +174,7 @@ def trsm_sparse(
         char_dim=float(m),
         sparse=True,
     )
-    return per.batched(g)
+    return _priced(per, g)
 
 
 def syrk(
@@ -199,7 +200,7 @@ def syrk(
         launches=1,
         char_dim=float(min(n, k)) if min(n, k) > 0 else 1.0,
     )
-    return per.batched(g)
+    return _priced(per, g)
 
 
 def gemm(
@@ -225,7 +226,7 @@ def gemm(
         launches=1,
         char_dim=float(min(m, n, k)) if min(m, n, k) > 0 else 1.0,
     )
-    return per.batched(g)
+    return _priced(per, g)
 
 
 def spmm(
@@ -267,7 +268,7 @@ def spmm(
         char_dim=float(n),
         sparse=True,
     )
-    return per.batched(g)
+    return _priced(per, g)
 
 
 def panel_gather(x: np.ndarray, rows_stack: np.ndarray) -> tuple[np.ndarray, KernelCost]:
@@ -279,20 +280,19 @@ def panel_gather(x: np.ndarray, rows_stack: np.ndarray) -> tuple[np.ndarray, Ker
     """
     require(rows_stack.ndim == 2, "rows_stack must be (group, rows)")
     g = int(rows_stack.shape[0])
-    require(g >= 1, "rows_stack must stack at least one member")
     out = np.ascontiguousarray(x[rows_stack])
     per = KernelCost(
         flops=0.0,
-        bytes_moved=2.0 * float(out.size / g) * FLOAT64_BYTES,
+        bytes_moved=2.0 * math.prod(out.shape[1:]) * FLOAT64_BYTES,
         launches=1,
         char_dim=float(max(out.shape[-1] if out.ndim > 2 else 1, 1)),
         sparse=True,
     )
-    return out, per.batched(g)
+    return out, _priced(per, g)
 
 
 def _scatter_cost(values_stack: np.ndarray, g: int) -> KernelCost:
-    per_size = float(values_stack.size / g)
+    per_size = float(math.prod(values_stack.shape[1:]))
     per = KernelCost(
         flops=per_size,
         bytes_moved=3.0 * per_size * FLOAT64_BYTES,
@@ -300,7 +300,7 @@ def _scatter_cost(values_stack: np.ndarray, g: int) -> KernelCost:
         char_dim=float(max(values_stack.shape[-1], 1)),
         sparse=True,
     )
-    return per.batched(g)
+    return _priced(per, g)
 
 
 def panel_scatter_add(
@@ -318,10 +318,10 @@ def panel_scatter_add(
     g = _group(values_stack, "values_stack")
     require(rows_stack.shape == values_stack.shape[:2], "rows/values mismatch")
     flat_rows = rows_stack.reshape(-1)
-    flat_vals = values_stack.reshape(flat_rows.shape[0], -1)
+    flat_vals = values_stack.reshape((flat_rows.shape[0],) + target.shape[1:])
     if sign != 1.0:
         flat_vals = sign * flat_vals
-    np.add.at(target, flat_rows, flat_vals.reshape((flat_rows.shape[0],) + target.shape[1:]))
+    np.add.at(target, flat_rows, flat_vals)
     return _scatter_cost(values_stack, g)
 
 
@@ -353,7 +353,7 @@ def extract_block(
         char_dim=1.0,
         sparse=True,
     )
-    return block, per.batched(a.group)
+    return block, _priced(per, a.group)
 
 
 def densify(a: StackedCSC, rows: np.ndarray | None = None) -> tuple[np.ndarray, KernelCost]:
@@ -362,12 +362,12 @@ def densify(a: StackedCSC, rows: np.ndarray | None = None) -> tuple[np.ndarray, 
     out = a.toarray(rows=rows)
     per = KernelCost(
         flops=0.0,
-        bytes_moved=csx_bytes(a.nnz, a.shape[1]) + (out.size / a.group) * FLOAT64_BYTES,
+        bytes_moved=csx_bytes(a.nnz, a.shape[1]) + out.shape[1] * out.shape[2] * FLOAT64_BYTES,
         launches=1,
         char_dim=1.0,
         sparse=True,
     )
-    return out, per.batched(a.group)
+    return out, _priced(per, a.group)
 
 
 def symmetric_permute(
@@ -391,7 +391,7 @@ def symmetric_permute(
         launches=1,
         char_dim=float(m),
     )
-    return out, per.batched(g)
+    return out, _priced(per, g)
 
 
 __all__ = [

@@ -37,8 +37,8 @@ class Executor:
 
     All kernel methods execute the numerics immediately (NumPy/SciPy) on
     stacked operands — ``(group, rows, cols)`` arrays and
-    :class:`~repro.sparse.stacked.StackedCSC` value stacks, a single
-    subdomain being a stack of one — and charge the corresponding
+    :class:`~repro.sparse.stacked.StackedCSC` value stacks; a subdomain is
+    a stack of one, a dry run a stack of zero — and charge the corresponding
     :class:`KernelCost` (one launch per call) to the ledger.  Use one
     executor per simulated resource (one GPU, one CPU core).
 
@@ -182,6 +182,15 @@ class Executor:
         return out
 
 
+class PricingExecutor(Executor):
+    """The executor of a dry run — the kernel chain on a zero-member stack:
+    same façade, but a charge books the private ledger only (no ``gpu.*``
+    span, no tracer metric: nothing ran)."""
+
+    def charge(self, cost: KernelCost, kernel: str = "kernel") -> float:
+        return self.ledger.charge(cost)
+
+
 def cpu_executor(spec: DeviceSpec = EPYC_7763_CORE) -> Executor:
     """Executor modelling one CPU core."""
     return Executor(spec)
@@ -277,6 +286,7 @@ class SimulatedGpu:
 
 __all__ = [
     "Executor",
+    "PricingExecutor",
     "cpu_executor",
     "gpu_executor",
     "Stream",

@@ -103,6 +103,14 @@ class StackedCSC:
             data=data,
         )
 
+    @classmethod
+    def pattern_of(cls, mat: sp.spmatrix) -> "StackedCSC":
+        """The zero-member stack over *mat*'s stored pattern: what a dry run
+        prices and the pattern cache keeps of a factor."""
+        mc = _canonical_csc(mat)
+        data = np.empty((0, mc.nnz), dtype=np.float64)
+        return cls(mc.shape, np.asarray(mc.indptr), np.asarray(mc.indices), data)
+
     def entry_columns(self) -> np.ndarray:
         """Column index of every stored entry (CSC expansion of ``indptr``)."""
         return np.repeat(np.arange(self.shape[1], dtype=np.intp), np.diff(self.indptr))

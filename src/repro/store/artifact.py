@@ -36,7 +36,7 @@ MAGIC = b"RSTO"
 
 #: Envelope schema version.  Bump on any layout change; readers quarantine
 #: (never guess at) versions they do not know.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Known artifact kinds (informational — the store accepts any string, the
 #: constant names keep call sites consistent).

@@ -143,7 +143,7 @@ def test_default_config_matches_table1():
 def test_memory_estimate(subdomain_2d):
     factor, bt = subdomain_2d
     asm = SchurAssembler()
-    est = asm.estimate_memory(factor, bt.shape[1])
+    est = asm.estimate_memory(factor.n, factor.nnz, bt.shape[1])
     m = bt.shape[1]
     assert est.persistent == m * m * 8
     assert est.temporary > factor.nnz * 8

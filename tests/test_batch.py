@@ -22,9 +22,9 @@ from repro.core import (
     SchurAssembler,
     baseline_config,
     default_config,
+    prepare_pattern,
     trsm_factor_split,
 )
-from repro.core.estimate import FactorPattern, estimate_assembly, estimate_from_patterns
 from repro.core.stepped import stepped_permutation
 from repro.feti.planner import plan_population
 from repro.gpu import A100_40GB, Executor
@@ -136,9 +136,8 @@ def test_cache_validates():
 def test_pruning_plan_matches_adhoc_scan(workload_2d):
     factor, bt = workload_2d
     cfg = default_config("gpu", 2)
-    patt = FactorPattern.from_factor(factor)
     plan = PruningPlan.from_pattern(
-        patt.indptr, patt.indices, factor.n, cfg.trsm_blocks.resolve(factor.n)
+        StackedCSC.pattern_of(factor.l), cfg.trsm_blocks.resolve(factor.n)
     )
     bt_rows = bt.tocsr()[factor.perm].tocsc()
     col_perm, shape = stepped_permutation(bt_rows)
@@ -195,14 +194,15 @@ def test_symbolic_from_factor_consistent(workload_2d):
     assert sym.pattern_digest() == symbolic_from_factor(factor.l).pattern_digest()
 
 
-def test_estimate_from_patterns_matches_estimate_assembly(workload_2d):
+def test_estimate_pattern_matches_estimate(workload_2d):
     factor, bt = workload_2d
-    cfg = default_config("gpu", 2)
-    full = estimate_assembly(factor, bt, cfg, A100_40GB, PCIE4_X16)
-    patt = FactorPattern.from_factor(factor)
-    _, shape = stepped_permutation(bt.tocsr()[factor.perm].tocsc())
-    split = estimate_from_patterns(patt, shape, cfg, A100_40GB, PCIE4_X16)
-    assert full == split
+    asm = SchurAssembler(config=default_config("gpu", 2), spec=A100_40GB, transfer=PCIE4_X16)
+    full = asm.estimate(factor, bt)
+    patt = StackedCSC.pattern_of(factor.l)
+    bt_rows = bt.tocsr()[factor.perm].tocsc()
+    # with and without the precomputed pruning plan: same chain, same prices
+    assert full == asm.estimate_pattern(patt, prepare_pattern(bt_rows, asm.config))
+    assert full == asm.estimate_pattern(patt, prepare_pattern(bt_rows, asm.config, patt))
 
 
 # ---------------------------------------------------------------------------

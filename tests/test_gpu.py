@@ -283,6 +283,117 @@ def test_kernel_permutations(rng):
     assert cost.launches == 1
 
 
+# Pricing is group-independent by construction: every kernel computes its
+# per-member cost from the operands' trailing shapes and the shared pattern,
+# so a stack of G members costs ``batched(G)`` of a stack of one, and a stack
+# of zero members — a dry run — executes nothing and costs what one would.
+
+_ROWS = np.array([1, 3, 7])
+
+
+def _dense(g, *shape):
+    return np.random.default_rng(3).standard_normal((g, *shape))
+
+
+def _value_stack(mat, g):
+    """*g* members over *mat*'s pattern; none is the pattern alone."""
+    if g == 0:
+        return StackedCSC.pattern_of(mat)
+    return _stack(*[_scaled(mat, 1.0 + i) for i in range(g)])
+
+
+def _call_trsm_dense(g, l):
+    x = _dense(g, l.shape[0], 5)
+    return kernels.trsm_dense(l.toarray(), x), [x]
+
+
+def _call_trsm_sparse(g, l):
+    x = _dense(g, l.shape[0], 5)
+    return kernels.trsm_sparse(l, x), [x]
+
+
+def _call_syrk(g, l):
+    c = np.zeros((g, 5, 5))
+    return kernels.syrk(_dense(g, 7, 5), c), [c]
+
+
+def _call_gemm(g, l):
+    c = np.zeros((g, 7, 3))
+    return kernels.gemm(_dense(g, 7, 5), _dense(g, 5, 3), c), [c]
+
+
+def _call_spmm(g, l):
+    c = np.zeros((g, l.shape[0], 5))
+    return kernels.spmm(l, _dense(g, l.shape[1], 5), c), [c]
+
+
+def _call_panel_gather(g, l):
+    out, cost = kernels.panel_gather(_dense(10, 4), np.tile(_ROWS, (g, 1)))
+    return cost, [out]
+
+
+def _call_panel_scatter_add(g, l):
+    target = np.zeros((10, 4))
+    cost = kernels.panel_scatter_add(target, np.tile(_ROWS, (g, 1)), _dense(g, 3, 4))
+    assert target.any() == (g > 0)  # the shared panel is not a stack
+    return cost, []
+
+
+def _call_scatter_add_rows(g, l):
+    target = np.zeros((g, 10, 4))
+    return kernels.scatter_add_rows(target, _ROWS, _dense(g, 3, 4)), [target]
+
+
+def _call_extract_block(g, l):
+    block, cost = kernels.extract_block(l, 20, 60, 10, 20)
+    return cost, [block.data]
+
+
+def _call_densify(g, l):
+    block = l.block(20, 60, 10, 20)
+    full, cost = kernels.densify(block)
+    packed, packed_cost = kernels.densify(block, rows=block.nonempty_rows())
+    return cost + packed_cost, [full, packed]
+
+
+def _call_symmetric_permute(g, l):
+    out, cost = kernels.symmetric_permute(_dense(g, 9, 9), np.arange(9)[::-1])
+    return cost, [out]
+
+
+KERNEL_CALLS = {
+    fn.__name__.removeprefix("_call_"): fn
+    for fn in (
+        _call_trsm_dense,
+        _call_trsm_sparse,
+        _call_syrk,
+        _call_gemm,
+        _call_spmm,
+        _call_panel_gather,
+        _call_panel_scatter_add,
+        _call_scatter_add_rows,
+        _call_extract_block,
+        _call_densify,
+        _call_symmetric_permute,
+    )
+}
+
+
+def test_every_kernel_has_a_pricing_case():
+    assert set(KERNEL_CALLS) == set(kernels.__all__) - {"BATCHED_TRSM_BLOCK"}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CALLS))
+def test_kernel_pricing_is_group_independent(name, factor):
+    costs = {}
+    for g in (0, 1, 3):
+        costs[g], outputs = KERNEL_CALLS[name](g, _value_stack(factor.l, g))
+        assert all(out.shape[0] == g for out in outputs)
+    assert costs[0] == costs[1]
+    assert costs[3] == costs[1].batched(3)
+    assert costs[1].bytes_moved > 0 and costs[1].launches >= 1
+
+
 # ---------------------------------------------------------------------------
 # executor and simulated GPU
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ def test_pipeline_from_estimated_durations():
     for sub in dec.subdomains:
         factor = factorize_subdomain(sub)
         est = asm.estimate(factor, sub.bt)
-        mem = asm.estimate_memory(factor, sub.n_multipliers)
+        mem = asm.estimate_memory(factor.n, factor.nnz, sub.n_multipliers)
         work.append(
             SubdomainWork(
                 factorization=CHOLMOD.factorization_time(factor),

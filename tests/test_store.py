@@ -75,16 +75,20 @@ def test_envelope_rejects_bad_magic_and_schema():
     data = encode_artifact({"x": 1}, KIND_SYMBOLIC, "k")
     with pytest.raises(ArtifactCorrupt):
         decode_artifact(b"XXXX" + data[4:], KIND_SYMBOLIC, "k")
-    # Rewrite the header with a future schema version (checksum intact).
+    with pytest.raises(ArtifactSchemaMismatch):
+        decode_artifact(_with_schema(data, SCHEMA_VERSION + 1), KIND_SYMBOLIC, "k")
+
+
+def _with_schema(data: bytes, version: int) -> bytes:
+    """*data* with its header rewritten to another schema version (payload
+    and checksum intact) — an entry a different release wrote."""
     import struct
 
     hlen = struct.unpack(">I", data[4:8])[0]
     header = json.loads(data[8 : 8 + hlen])
-    header["schema"] = SCHEMA_VERSION + 1
+    header["schema"] = version
     raw = json.dumps(header, sort_keys=True).encode()
-    forged = data[:4] + struct.pack(">I", len(raw)) + raw + data[8 + hlen :]
-    with pytest.raises(ArtifactSchemaMismatch):
-        decode_artifact(forged, KIND_SYMBOLIC, "k")
+    return data[:4] + struct.pack(">I", len(raw)) + raw + data[8 + hlen :]
 
 
 def test_key_digest_is_filename_safe():
@@ -272,16 +276,26 @@ def test_tiered_cache_warm_run_hits_store(tmp_path):
         assert np.allclose(a.f, b.f)
 
 
-def test_tiered_cache_quarantined_entry_recomputed(tmp_path):
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda data: data[:-6],
+        # what the previous release wrote: ``SymbolicArtifacts`` changed
+        # layout with the schema bump, so these must not be unpickled
+        lambda data: _with_schema(data, SCHEMA_VERSION - 1),
+    ],
+    ids=["truncated", "previous-schema"],
+)
+def test_tiered_cache_quarantined_entry_recomputed(tmp_path, damage):
     store = _store(tmp_path)
     items = _items()
     BatchAssembler.for_cpu(cache=TieredPatternCache(store)).assemble_batch(items)
-    # Corrupt every committed artifact, then re-run warm: each lookup must
+    # Damage every committed artifact, then re-run warm: each lookup must
     # quarantine and rebuild, never serve garbage.
     paths = list(store.objects_dir.glob("*/*.art"))
     assert paths
     for path in paths:
-        path.write_bytes(path.read_bytes()[:-6])
+        path.write_bytes(damage(path.read_bytes()))
     batch = BatchAssembler.for_cpu(cache=TieredPatternCache(store)).assemble_batch(items)
     assert batch.stats.n_quarantined == len(paths)
     assert batch.stats.store_hits == 0

@@ -18,18 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.batch import BatchAssembler, items_from_decomposition
-from repro.batch.engine import build_artifacts
+from repro.batch.engine import build_artifacts, union_padding_overhead
 from repro.core import default_config
-from repro.core.estimate import (
-    FactorPattern,
-    padding_fill_ratio,
-    union_padding_overhead,
-)
 from repro.dd import decompose
 from repro.fem import heat_problem
 from repro.part import make_mesh
 from repro.sparse.canonical import pattern_union, union_plan
-from repro.sparse.stacked import stack_into_union
+from repro.sparse.stacked import StackedCSC, stack_into_union
 
 RTOL, ATOL = 1e-10, 1e-12
 
@@ -87,7 +82,7 @@ def test_union_plan_embeddings_and_containment(seed, group):
     member_nnz = sum(l.nnz for l in ls) + sum(b.nnz for b in bts)
     assert plan.member_nnz == member_nnz
     assert plan.padded_nnz == group * (plan.l_union.nnz + plan.bt_union.nnz)
-    assert plan.fill_ratio == padding_fill_ratio(plan.padded_nnz, plan.member_nnz)
+    assert plan.fill_ratio == plan.padded_nnz / plan.member_nnz
     assert plan.fill_ratio >= 1.0
 
 
@@ -271,11 +266,7 @@ def test_union_estimate_prices_padding_conservatively(jittered_items):
         )
         # a union is just another pattern pair for the one artifact builder
         union_art = build_artifacts(
-            FactorPattern(
-                n=plan.shape[0],
-                indptr=np.asarray(plan.l_union.indptr),
-                indices=np.asarray(plan.l_union.indices),
-            ),
+            StackedCSC.pattern_of(plan.l_union.pattern_csc()),
             plan.bt_union.pattern_csc(),
             engine.config,
             spec,
@@ -284,7 +275,7 @@ def test_union_estimate_prices_padding_conservatively(jittered_items):
         )
         member_arts = [
             build_artifacts(
-                FactorPattern.from_factor(items[i].factor),
+                StackedCSC.pattern_of(items[i].factor.l),
                 _engine_bt_rows(items[i]),
                 engine.config,
                 spec,
