@@ -3,8 +3,8 @@
 One cache entry holds everything the symbolic stage of an assembly
 produces for a given fingerprint — the stepped permutation and
 :class:`~repro.core.stepped.SteppedShape`, the TRSM pruning plan, the
-factor pattern, the :class:`~repro.sparse.symbolic.SymbolicFactor`, the
-per-stage cost estimate and the device-memory estimate.  All of it is pure
+:class:`~repro.sparse.symbolic.SymbolicFactor`, the per-stage cost
+estimate and the device-memory estimate.  All of it is pure
 pattern data, so any subdomain with the same fingerprint can reuse the
 entry verbatim; the cache tracks hits, misses and LRU evictions so the
 batch statistics can report the reuse achieved.
@@ -25,7 +25,6 @@ from typing import Any, Callable
 
 from repro.core.assembler import MemoryEstimate, PreparedPattern
 from repro.batch.fingerprint import Fingerprint
-from repro.sparse.stacked import StackedCSC
 from repro.sparse.symbolic import SymbolicFactor
 from repro.util import require
 
@@ -43,7 +42,6 @@ class SymbolicArtifacts:
 
     fingerprint: Fingerprint
     prepared: PreparedPattern
-    factor_pattern: StackedCSC  # zero-member stack: the pattern alone
     symbolic: SymbolicFactor
     estimate: dict[str, float]
     memory: MemoryEstimate

@@ -218,7 +218,6 @@ def build_artifacts(
     return SymbolicArtifacts(
         fingerprint=fingerprint,
         prepared=prepared,
-        factor_pattern=patt,
         symbolic=symbolic_from_pattern(patt.indptr, patt.indices, n),
         estimate=estimate,
         memory=memory,
@@ -557,11 +556,12 @@ class BatchAssembler:
             plan = stack.plan
             if plan is None:
                 continue
-            ufp = union_fingerprint(plan.l_union, plan.bt_union, extra=extra)
+            lu = plan.l_union
+            ufp = union_fingerprint(lu, plan.bt_union, extra=extra)
             art, hit = self.cache.get_or_build(
                 ufp.key,
                 lambda: build_artifacts(
-                    StackedCSC.pattern_of(plan.l_union.pattern_csc()),
+                    StackedCSC(lu.shape, lu.indptr, lu.indices, np.empty((0, lu.nnz))),
                     plan.bt_union.pattern_csc(),
                     self.config,
                     self.assembler.spec,

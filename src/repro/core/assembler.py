@@ -41,6 +41,7 @@ from repro.core.trsm_split import (
     trsm_rhs_split,
 )
 from repro.gpu.costmodel import FLOAT64_BYTES, csx_bytes, dense_bytes
+from repro.gpu.kernels import priced_group
 from repro.gpu.runtime import Executor, PricingExecutor
 from repro.gpu.spec import A100_40GB, EPYC_7763_CORE, PCIE4_X16, DeviceSpec, TransferSpec
 from repro.sparse.canonical import UnionPlan
@@ -415,7 +416,7 @@ class SchurAssembler:
         """
         cfg = self.config
         g, n, m = x_stack.shape
-        priced = max(g, 1)  # like the kernels: zero members price as one
+        priced = priced_group(g)
         shape = prepared.shape
         require(
             shape.n_rows == n and shape.n_cols == m,

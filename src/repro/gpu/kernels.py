@@ -3,8 +3,7 @@
 Each function *executes* the operation with NumPy/SciPy (results are exact)
 and returns the :class:`~repro.gpu.costmodel.KernelCost` a real device would
 pay: FLOPs from the standard BLAS formulas, memory traffic from the operand
-shapes, one launch per library call.  Simulated devices price these costs;
-see :mod:`repro.gpu.runtime`.
+shapes, one launch per library call (priced by :mod:`repro.gpu.runtime`).
 
 The kernel set mirrors what the paper's implementation calls through
 cuBLAS/cuSPARSE and MKL: dense/sparse TRSM, SYRK, GEMM, SPMM, row
@@ -20,10 +19,10 @@ traffic but only **one** launch — the cuBLAS ``*Batched`` pricing (see
 algorithm: ``G`` members are a class, one is a subdomain, and zero is a
 *dry run* — empty arrays still carry ``rows``, ``cols`` and the pattern, so
 the cost is computed from the operands as always and priced as the stack
-of one it stands for (:func:`_priced`).  Only the two triangular solves
-look at the group size: a stack of one goes to the per-matrix library
-routine (LAPACK ``trtrs``, SuperLU), a larger one through the blocked
-substitution of :func:`_blocked_substitution`, an empty one through neither.
+of one it stands for (:func:`priced_group`, the one place that says so).
+Only the two triangular solves look at the group size: one member goes to
+the library routine (LAPACK ``trtrs``, SuperLU), several through
+:func:`_blocked_substitution`, none through neither.
 
 The kernels are pattern-driven, so the union-padded stacks of
 :meth:`~repro.core.assembler.SchurAssembler.assemble_union`
@@ -54,8 +53,7 @@ from repro.util import (
     trsm_sparse_flops,
 )
 
-#: Diagonal-block size of the blocked substitution stacks of several
-#: members run through.
+#: Diagonal-block size of the blocked substitution (stacks of several members).
 BATCHED_TRSM_BLOCK = 64
 
 
@@ -64,9 +62,13 @@ def _group(stack: np.ndarray, name: str) -> int:
     return int(stack.shape[0])
 
 
+def priced_group(g: int) -> int:
+    """Members a stack of *g* is priced as: zero (a dry run) prices as one."""
+    return max(g, 1)
+
+
 def _priced(per: KernelCost, g: int) -> KernelCost:
-    """One launch for the whole stack; zero members (a dry run) price as one."""
-    return per.batched(max(g, 1))
+    return per.batched(priced_group(g))  # one launch for the whole stack
 
 
 def _accumulate(c_stack: np.ndarray, update: np.ndarray, alpha: float, beta: float) -> None:
@@ -118,10 +120,7 @@ def trsm_dense(l_stack: np.ndarray, x_stack: np.ndarray, trans: bool = False) ->
     g = _group(l_stack, "l_stack")
     n = l_stack.shape[1]
     require(l_stack.shape == (g, n, n), "stacked factors must be square")
-    require(
-        x_stack.shape[0] == g and x_stack.shape[1] == n,
-        "RHS stack must match the factor stack",
-    )
+    require(x_stack.shape[:2] == (g, n), "RHS stack must match the factor stack")
     m = x_stack.shape[2]
     if g == 1:
         x_stack[0] = scipy.linalg.solve_triangular(
@@ -396,6 +395,7 @@ def symmetric_permute(
 
 __all__ = [
     "BATCHED_TRSM_BLOCK",
+    "priced_group",
     "trsm_dense",
     "trsm_sparse",
     "syrk",

@@ -380,7 +380,8 @@ KERNEL_CALLS = {
 
 
 def test_every_kernel_has_a_pricing_case():
-    assert set(KERNEL_CALLS) == set(kernels.__all__) - {"BATCHED_TRSM_BLOCK"}
+    assert set(KERNEL_CALLS) == set(kernels.__all__) - {"BATCHED_TRSM_BLOCK", "priced_group"}
+    assert [kernels.priced_group(g) for g in (0, 1, 3)] == [1, 1, 3]
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_CALLS))

@@ -697,3 +697,18 @@ def test_implicit_and_explicit_operators_report_their_own_chain():
         assert op.explicit == (chain == 3)
         assert gop.launches_per_application == chain * gop.n_groups
         assert gop.sequential_launches_per_application == chain * n_subs
+
+
+def test_executed_stacks_cannot_be_empty_outside_the_assembler():
+    """A zero-member stack prices a dry run, which only ``SchurAssembler``
+    starts: the packers the grouped operator and the stacked preconditioner
+    build their kernel operands with reject an empty group."""
+    from repro.feti.operator import GroupedDualOperator
+
+    with pytest.raises(ValueError):
+        StackedCSC.from_matrices([])  # StackedPreconditioner / exact groups
+    for approach, packer in (("impl_mkl", "_exact_group"), ("expl_gpu_opt", "_explicit_group")):
+        gop = GroupedDualOperator(_feti_operator(approach=approach).operator)
+        assert all(len(grp.members) >= 1 for grp in gop.groups)
+        with pytest.raises(ValueError):
+            getattr(gop, packer)([])
