@@ -115,7 +115,7 @@ def _cmd_solve(args) -> int:
         print(sol.stats.summary())
         print(f"approach:        {solver.approach.name}")
         print(f"max error (col 0): {err:.3e}")
-        return 0 if sol.converged else 1
+        return 0 if sol.converged and _error_ok(err) else 1
     sol = solver.solve()
     err = float(np.abs(sol.u - problem.solve_direct()).max())
     t = sol.timings
@@ -126,7 +126,16 @@ def _cmd_solve(args) -> int:
     print(f"max error:       {err:.3e}")
     print(f"prep/subdomain:  {t.preprocessing_per_subdomain * 1e3:.3f} ms (simulated)")
     print(f"apply/subdomain: {t.apply_mean_per_subdomain * 1e3:.4f} ms (simulated)")
-    return 0 if sol.info.converged else 1
+    return 0 if sol.info.converged and _error_ok(err) else 1
+
+
+def _error_ok(err: float) -> bool:
+    """``solve`` gates on the error against the direct solution it prints."""
+    ok = err <= 1e-6
+    if not ok:
+        print(f"error: max error {err:.3e} against the direct solution exceeds 1e-6",
+              file=sys.stderr)
+    return ok
 
 
 def _cmd_batch(args) -> int:

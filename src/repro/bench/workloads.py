@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from repro.fem.assembly import assemble_load, assemble_stiffness
+from repro.fem.heat_transfer import heat_problem
 from repro.fem.mesh import unit_cube_mesh, unit_square_mesh
 from repro.sparse import (
     cholesky,
@@ -84,8 +84,8 @@ def make_workload(dim: int, target_dofs: int, use_cache: bool = True) -> KernelW
         return _CACHE[key]
 
     mesh = unit_square_mesh(cells) if dim == 2 else unit_cube_mesh(cells)
-    k = assemble_stiffness(mesh)
-    f = assemble_load(mesh)
+    problem = heat_problem(mesh)  # floating; k and f come from one element pass
+    k, f = problem.k, problem.f
     coords = mesh.coords
     fixing = choose_fixing_dofs(k, 1, coords=coords)
     k_reg = regularize(k, fixing)

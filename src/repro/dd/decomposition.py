@@ -102,6 +102,11 @@ def decompose(
     subdomains.  A *grid* given with a graph partitioner only sets the part
     count (its product); the partition quality report lands in
     ``Decomposition.partition``.
+
+    The element matrices are computed once for the whole mesh
+    (``problem.element_matrices()``, with the problem's own conductivity and
+    source) and gathered per subdomain; the global system is not assembled,
+    and nothing of element count outlives the call.
     """
     require(
         (grid is None) != (n_subdomains is None),
@@ -122,20 +127,24 @@ def decompose(
         )
         element_owner = partition_report.owner
 
+    # One element pass for the whole mesh; each subdomain gathers its rows.
+    ke, fe = problem.element_matrices()
+    dirichlet_mask = np.zeros(mesh.n_nodes, dtype=bool)
+    dirichlet_mask[problem.dirichlet_nodes] = True
+    global_to_local = np.empty(mesh.n_nodes, dtype=np.intp)
+    by_owner = np.argsort(element_owner, kind="stable")
+    bounds = np.cumsum(np.bincount(element_owner))[:-1]
     subdomains: list[Subdomain] = []
-    for sub_id in range(int(element_owner.max()) + 1 if element_owner.size else 0):
-        element_ids = np.flatnonzero(element_owner == sub_id)
+    for element_ids in np.split(by_owner, bounds):
         if element_ids.size == 0:
             continue
         subdomains.append(
             build_subdomain(
-                mesh,
-                index=len(subdomains),
-                element_ids=element_ids,
-                dirichlet_nodes=problem.dirichlet_nodes,
-                conductivity=problem.conductivity,
+                mesh, len(subdomains), element_ids, ke[element_ids], fe[element_ids],
+                dirichlet_mask, global_to_local,
             )
         )
+    del ke, fe
     require(len(subdomains) >= 1, "decomposition produced no subdomains")
 
     n_multipliers = build_interface(subdomains, mesh.n_nodes, gluing=gluing)

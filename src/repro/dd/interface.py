@@ -16,8 +16,6 @@ returns the total number of multipliers.  Signs follow the convention
 
 from __future__ import annotations
 
-from collections import defaultdict
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -34,53 +32,55 @@ def build_interface(
 ) -> int:
     """Create the gluing matrices ``B_i^T`` for all *subdomains* in place.
 
-    Returns the total number of Lagrange multipliers (rows of the global
-    ``B``).
+    Multipliers are numbered by ascending mesh node, then pair by pair over
+    the node's sharers in list order; columns of ``B_i^T`` follow ascending
+    multiplier id.  Returns the number of multipliers (rows of the global ``B``).
     """
     require(gluing in GLUING_METHODS, f"unknown gluing method {gluing!r}")
 
-    # node -> [(subdomain position in list, local dof)] over free DOFs.
-    owners: dict[int, list[tuple[int, int]]] = defaultdict(list)
-    for pos, sub in enumerate(subdomains):
-        for local, node in enumerate(sub.free_nodes):
-            owners[int(node)].append((pos, local))
+    # One (node, subdomain position, local dof) triple per free DOF, sorted
+    # by node; the stable sort keeps each node's sharers in position order.
+    sizes = [sub.free_nodes.size for sub in subdomains]
+    node = np.concatenate([sub.free_nodes for sub in subdomains])
+    order = np.argsort(node, kind="stable")
+    node = node[order]
+    pos = np.repeat(np.arange(len(subdomains)), sizes)[order]
+    local = np.concatenate([np.arange(size) for size in sizes])[order]
 
-    # Per-subdomain COO triplets of B_i^T (row = local dof, col = local
-    # multiplier index) plus the global multiplier id of each column.
-    rows: list[list[int]] = [[] for _ in subdomains]
-    cols: list[list[int]] = [[] for _ in subdomains]
-    vals: list[list[float]] = [[] for _ in subdomains]
-    mult_ids: list[list[int]] = [[] for _ in subdomains]
-    next_multiplier = 0
-
-    for node in sorted(owners):
-        sharers = owners[node]
-        if len(sharers) < 2:
-            continue
-        sharers = sorted(sharers)  # deterministic: by subdomain position
+    # Runs of equal nodes: a run of c sharers glues c - 1 consecutive
+    # ("chain") or c (c - 1) / 2 ("redundant", lower index first) pairs;
+    # multipliers are numbered node by node, pair by pair.
+    start = np.flatnonzero(np.diff(node, prepend=-1))
+    count = np.diff(start, append=node.size)
+    n_pairs = count - 1 if gluing == "chain" else count * (count - 1) // 2
+    first = np.cumsum(n_pairs) - n_pairs
+    plus, minus, mult = [], [], []
+    for c in np.unique(count[count >= 2]):
         if gluing == "chain":
-            pairs = list(zip(sharers[:-1], sharers[1:]))
+            a, b = np.arange(c - 1), np.arange(1, c)
         else:
-            pairs = [
-                (sharers[a], sharers[b])
-                for a in range(len(sharers))
-                for b in range(a + 1, len(sharers))
-            ]
-        for (pos_a, loc_a), (pos_b, loc_b) in pairs:
-            for pos, loc, val in ((pos_a, loc_a, 1.0), (pos_b, loc_b, -1.0)):
-                rows[pos].append(loc)
-                cols[pos].append(len(mult_ids[pos]))
-                vals[pos].append(val)
-                mult_ids[pos].append(next_multiplier)
-            next_multiplier += 1
+            a, b = np.triu_indices(c, 1)
+        runs = count == c
+        base = start[runs][:, None]
+        plus.append((base + a).ravel())
+        minus.append((base + b).ravel())
+        mult.append((first[runs][:, None] + np.arange(a.size)).ravel())
+    empty = np.empty(0, dtype=np.intp)  # a decomposition may glue nothing
+    entry = np.concatenate([empty, *plus, *minus])
+    mult = np.concatenate([empty, *mult, *mult])
+    vals = np.repeat([1.0, -1.0], entry.size // 2)
 
-    for pos, sub in enumerate(subdomains):
-        m_i = len(mult_ids[pos])
+    # Column j of B_i^T is the subdomain's j-th multiplier in global order.
+    owner = pos[entry]
+    order = np.lexsort((mult, owner))
+    bounds = np.cumsum(np.bincount(owner, minlength=len(subdomains)))[:-1]
+    for sub, sel in zip(subdomains, np.split(order, bounds)):
         sub.bt = sp.csc_matrix(
-            (vals[pos], (rows[pos], cols[pos])), shape=(sub.n_dofs, m_i)
+            (vals[sel], (local[entry[sel]], np.arange(sel.size))),
+            shape=(sub.n_dofs, sel.size),
         )
-        sub.multiplier_ids = np.asarray(mult_ids[pos], dtype=np.intp)
-    return next_multiplier
+        sub.multiplier_ids = mult[sel]
+    return int(n_pairs.sum())
 
 
 def check_gluing_consistency(

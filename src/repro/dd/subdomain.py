@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from repro.fem.assembly import assemble_load, assemble_stiffness
+from repro.fem.assembly import scatter_load, scatter_stiffness
 from repro.fem.mesh import Mesh
 from repro.sparse import choose_fixing_dofs, constant_nullspace, regularize
 
@@ -85,26 +85,36 @@ def build_subdomain(
     mesh: Mesh,
     index: int,
     element_ids: np.ndarray,
-    dirichlet_nodes: np.ndarray,
-    conductivity: float | np.ndarray = 1.0,
-    source: float | np.ndarray = 1.0,
+    ke: np.ndarray,
+    fe: np.ndarray,
+    dirichlet_mask: np.ndarray,
+    global_to_local: np.ndarray,
 ) -> Subdomain:
-    """Assemble one subdomain from its element set."""
+    """Assemble one subdomain from its element set.
+
+    *ke* / *fe* are the element matrices of *element_ids* (gathered by the
+    caller from one element pass over the mesh); *dirichlet_mask* flags the
+    constrained mesh nodes and *global_to_local* is an ``intp`` scratch
+    array of mesh-node length — both shared by every subdomain of a
+    decomposition, the scratch is overwritten on the subdomain's nodes.
+    """
     element_ids = np.asarray(element_ids, dtype=np.intp)
-    nodes = np.unique(mesh.elements[element_ids])
-    k_all = assemble_stiffness(mesh, conductivity, nodes=nodes, elements=element_ids)
-    f_all = assemble_load(mesh, source, nodes=nodes, elements=element_ids)
+    elements = mesh.elements[element_ids]
+    nodes = np.unique(elements)
+    global_to_local[nodes] = np.arange(nodes.size)
+    conn = global_to_local[elements]
+    k = scatter_stiffness(conn, nodes.size, ke)
+    f = scatter_load(conn, nodes.size, fe)
 
-    dirichlet_set = np.zeros(mesh.n_nodes, dtype=bool)
-    dirichlet_set[dirichlet_nodes] = True
-    local_free_mask = ~dirichlet_set[nodes]
+    local_free_mask = ~dirichlet_mask[nodes]
     free_nodes = nodes[local_free_mask]
-    free_local = np.flatnonzero(local_free_mask)
-
-    k = sp.csr_matrix(k_all[free_local][:, free_local])
-    f = f_all[free_local]
-    coords = mesh.coords[free_nodes]
     floating = bool(local_free_mask.all())
+    if not floating:
+        # Restrict *after* the duplicates are summed: the order of that sum
+        # depends on everything in the row, constrained columns included.
+        free_local = np.flatnonzero(local_free_mask)
+        k = sp.csr_matrix(k[free_local][:, free_local])
+        f = f[free_local]
     r = constant_nullspace(free_nodes.size) if floating else np.empty((free_nodes.size, 0))
     return Subdomain(
         index=index,
@@ -113,7 +123,7 @@ def build_subdomain(
         free_nodes=free_nodes,
         k=k,
         f=f,
-        coords=coords,
+        coords=mesh.coords[free_nodes],
         floating=floating,
         r=r,
     )

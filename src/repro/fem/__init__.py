@@ -9,7 +9,7 @@ from repro.fem.elasticity import (
     p1_elasticity_stiffness,
     rigid_body_modes,
 )
-from repro.fem.element import p1_gradients, p1_load, p1_stiffness
+from repro.fem.element import p1_element_matrices, p1_gradients, p1_load, p1_stiffness
 from repro.fem.heat_transfer import (
     HeatProblem,
     heat_problem,
@@ -25,6 +25,7 @@ __all__ = [
     "p1_gradients",
     "p1_stiffness",
     "p1_load",
+    "p1_element_matrices",
     "assemble_stiffness",
     "assemble_load",
     "eliminate_dirichlet",

@@ -10,6 +10,38 @@ from repro.fem.mesh import Mesh
 from repro.util import require
 
 
+def scatter_stiffness(conn: np.ndarray, n: int, ke: np.ndarray) -> sp.csr_matrix:
+    """Sum element matrices *ke* ``(n_el, d+1, d+1)`` into an ``n x n`` CSR
+    matrix through the connectivity *conn* ``(n_el, d+1)``."""
+    d1 = conn.shape[1]
+    rows = np.repeat(conn, d1, axis=1).ravel()
+    cols = np.tile(conn, (1, d1)).ravel()
+    k = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    k.sum_duplicates()
+    return k
+
+
+def scatter_load(conn: np.ndarray, n: int, fe: np.ndarray) -> np.ndarray:
+    """Sum element vectors *fe* ``(n_el, d+1)`` into a length-*n* vector."""
+    f = np.zeros(n)
+    np.add.at(f, conn.ravel(), fe.ravel())
+    return f
+
+
+def _connectivity(
+    mesh: Mesh, nodes: np.ndarray | None, el: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """Connectivity of *el* in the numbering of *nodes* (global when ``None``)."""
+    if nodes is None:
+        return el, mesh.n_nodes
+    nodes = np.asarray(nodes, dtype=np.intp)
+    global_to_local = np.full(mesh.n_nodes, -1, dtype=np.intp)
+    global_to_local[nodes] = np.arange(nodes.size)
+    conn = global_to_local[el]
+    require(bool((conn >= 0).all()), "elements reference nodes outside subset")
+    return conn, nodes.size
+
+
 def assemble_stiffness(
     mesh: Mesh,
     conductivity: float | np.ndarray = 1.0,
@@ -25,9 +57,8 @@ def assemble_stiffness(
     conductivity:
         Scalar or per-element diffusion coefficient.
     nodes:
-        When given, assemble in the *local* numbering of this node subset
-        (used by :mod:`repro.dd.subdomain`); *elements* must then also be
-        given and reference only these nodes.
+        When given, assemble in the *local* numbering of this node subset;
+        *elements* must then also be given and reference only these nodes.
     elements:
         Element subset (indices into ``mesh.elements``) to assemble.
     """
@@ -35,24 +66,8 @@ def assemble_stiffness(
     if isinstance(conductivity, np.ndarray) and elements is not None:
         conductivity = conductivity[elements]
     ke = p1_stiffness(mesh.coords, el, conductivity)
-
-    if nodes is None:
-        n = mesh.n_nodes
-        conn = el
-    else:
-        nodes = np.asarray(nodes, dtype=np.intp)
-        n = nodes.size
-        global_to_local = np.full(mesh.n_nodes, -1, dtype=np.intp)
-        global_to_local[nodes] = np.arange(n)
-        conn = global_to_local[el]
-        require(bool((conn >= 0).all()), "elements reference nodes outside subset")
-
-    d1 = conn.shape[1]
-    rows = np.repeat(conn, d1, axis=1).ravel()
-    cols = np.tile(conn, (1, d1)).ravel()
-    k = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    k.sum_duplicates()
-    return k
+    conn, n = _connectivity(mesh, nodes, el)
+    return scatter_stiffness(conn, n, ke)
 
 
 def assemble_load(
@@ -66,21 +81,8 @@ def assemble_load(
     if isinstance(source, np.ndarray) and elements is not None:
         source = source[elements]
     fe = p1_load(mesh.coords, el, source)
-
-    if nodes is None:
-        n = mesh.n_nodes
-        conn = el
-    else:
-        nodes = np.asarray(nodes, dtype=np.intp)
-        n = nodes.size
-        global_to_local = np.full(mesh.n_nodes, -1, dtype=np.intp)
-        global_to_local[nodes] = np.arange(n)
-        conn = global_to_local[el]
-        require(bool((conn >= 0).all()), "elements reference nodes outside subset")
-
-    f = np.zeros(n)
-    np.add.at(f, conn.ravel(), fe.ravel())
-    return f
+    conn, n = _connectivity(mesh, nodes, el)
+    return scatter_load(conn, n, fe)
 
 
 def eliminate_dirichlet(

@@ -43,6 +43,21 @@ def p1_gradients(coords: np.ndarray, elements: np.ndarray) -> tuple[np.ndarray, 
     return grads, measures
 
 
+def _stiffness(
+    grads: np.ndarray, measures: np.ndarray, conductivity: float | np.ndarray
+) -> np.ndarray:
+    kappa = np.broadcast_to(
+        np.asarray(conductivity, dtype=np.float64), measures.shape
+    )
+    scale = (measures * kappa)[:, None, None]
+    return scale * np.einsum("eid,ejd->eij", grads, grads)
+
+
+def _load(measures: np.ndarray, source: float | np.ndarray, d1: int) -> np.ndarray:
+    src = np.broadcast_to(np.asarray(source, dtype=np.float64), measures.shape)
+    return np.repeat((src * measures / d1)[:, None], d1, axis=1)
+
+
 def p1_stiffness(
     coords: np.ndarray,
     elements: np.ndarray,
@@ -53,11 +68,7 @@ def p1_stiffness(
     *conductivity* may be a scalar or a per-element array.
     """
     grads, measures = p1_gradients(coords, elements)
-    kappa = np.broadcast_to(
-        np.asarray(conductivity, dtype=np.float64), measures.shape
-    )
-    scale = (measures * kappa)[:, None, None]
-    return scale * np.einsum("eid,ejd->eij", grads, grads)
+    return _stiffness(grads, measures, conductivity)
 
 
 def p1_load(
@@ -68,9 +79,19 @@ def p1_load(
     """Local load vectors ``(n_el, d+1)`` for a (per-element) constant source:
     each vertex receives ``source * |T| / (d+1)``."""
     _, measures = p1_gradients(coords, elements)
-    src = np.broadcast_to(np.asarray(source, dtype=np.float64), measures.shape)
-    d1 = elements.shape[1]
-    return np.repeat((src * measures / d1)[:, None], d1, axis=1)
+    return _load(measures, source, elements.shape[1])
 
 
-__all__ = ["p1_gradients", "p1_stiffness", "p1_load"]
+def p1_element_matrices(
+    coords: np.ndarray,
+    elements: np.ndarray,
+    conductivity: float | np.ndarray,
+    source: float | np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(ke, fe)`` — :func:`p1_stiffness` and :func:`p1_load` of the same
+    elements from one :func:`p1_gradients` pass (bit-equal to both)."""
+    grads, measures = p1_gradients(coords, elements)
+    return _stiffness(grads, measures, conductivity), _load(measures, source, elements.shape[1])
+
+
+__all__ = ["p1_gradients", "p1_stiffness", "p1_load", "p1_element_matrices"]

@@ -242,7 +242,8 @@ def _superlu_cholesky(ap: sp.csc_matrix) -> sp.csc_matrix:
     d = lu.U.diagonal()
     if np.any(d <= 0.0):
         raise NotPositiveDefiniteError("non-positive pivot encountered")
-    l = (lu.L @ sp.diags(np.sqrt(d))).tocsc()
+    l = lu.L  # CSC, unit diagonal: L D^(1/2) scales column j by sqrt(d_j)
+    l.data *= np.repeat(np.sqrt(d), np.diff(l.indptr))
     l.sort_indices()
     return l
 

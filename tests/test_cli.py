@@ -29,6 +29,24 @@ def test_cli_solve_auto(capsys):
     assert "approach:" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("extra", [[], ["--rhs", "2", "--block"]], ids=["scalar", "block"])
+def test_cli_solve_gates_on_the_error_it_prints(extra, capsys, monkeypatch):
+    """A converged PCPG whose solution is off the direct one is a failure:
+    exit code 1 and a message on stderr, in both branches of ``solve``."""
+    from repro.fem import HeatProblem
+
+    argv = ["solve", "--cells", "12", "--grid", "2x2", *extra]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+    exact = HeatProblem.solve_direct
+    monkeypatch.setattr(HeatProblem, "solve_direct", lambda self: exact(self) + 1e-5)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "max error" in captured.out
+    assert "exceeds 1e-6" in captured.err
+
+
 def test_cli_run_saves_results(tmp_path, capsys):
     rc = main(["run", "fig05", "--out", str(tmp_path)])
     assert rc == 0

@@ -14,6 +14,7 @@ from repro.fem import (
     eliminate_dirichlet,
     heat_transfer_2d,
     heat_transfer_3d,
+    p1_element_matrices,
     p1_gradients,
     p1_load,
     p1_stiffness,
@@ -99,6 +100,24 @@ def test_local_stiffness_spsd():
     for e in range(0, m.n_elements, 7):
         w = np.linalg.eigvalsh(ke[e])
         assert w.min() > -1e-12
+
+
+@pytest.mark.parametrize("per_element", [False, True], ids=["scalar", "per-element"])
+@pytest.mark.parametrize("mesh", [unit_square_mesh(5, 3), unit_cube_mesh(3)], ids=["2d", "3d"])
+def test_one_pass_element_matrices_equal_the_two_pass_functions_bitwise(mesh, per_element):
+    rng = np.random.default_rng(mesh.dim)
+    kappa = 0.5 + rng.random(mesh.n_elements) if per_element else 2.5
+    source = rng.standard_normal(mesh.n_elements) if per_element else 3.0
+    ke, fe = p1_element_matrices(mesh.coords, mesh.elements, kappa, source)
+    want_ke = p1_stiffness(mesh.coords, mesh.elements, kappa)
+    want_fe = p1_load(mesh.coords, mesh.elements, source)
+    assert ke.dtype == want_ke.dtype and np.array_equal(ke, want_ke)
+    assert fe.dtype == want_fe.dtype and np.array_equal(fe, want_fe)
+    # ... and an element's matrices do not depend on which others share the pass
+    some = np.arange(0, mesh.n_elements, 3)
+    kappa_some, source_some = (kappa[some], source[some]) if per_element else (kappa, source)
+    assert np.array_equal(ke[some], p1_stiffness(mesh.coords, mesh.elements[some], kappa_some))
+    assert np.array_equal(fe[some], p1_load(mesh.coords, mesh.elements[some], source_some))
 
 
 def test_stiffness_scaling_with_conductivity():

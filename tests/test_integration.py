@@ -105,6 +105,24 @@ def test_variable_conductivity_problem():
     assert np.abs(sol.u - p.solve_direct()).max() < 1e-8
 
 
+@pytest.mark.parametrize("source", [1.0, 3.0])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_decomposition_solves_the_load_the_problem_states(dim, source):
+    """The subdomain loads come from the problem's own ``source`` (a torn
+    problem used to be assembled with the default unit source)."""
+    if dim == 2:
+        p = heat_transfer_2d(16, dirichlet=("left",), source=source)
+        dec = decompose(p, grid=(2, 2))
+    else:
+        p = heat_transfer_3d(6, dirichlet=("left",), source=source)
+        dec = decompose(p, grid=(2, 2, 2))
+    assert sum(s.f.sum() for s in dec.subdomains) == pytest.approx(
+        p.f.sum() - p.f[p.dirichlet_nodes].sum(), rel=1e-12
+    )
+    sol = solve_feti(dec, approach="expl_gpu_opt", tol=1e-11)
+    assert np.abs(sol.u - p.solve_direct()).max() < 1e-8
+
+
 def test_estimates_consistent_across_decomposition():
     """Per-subdomain estimates summed == executed totals (exactness of the
     dry-run path on a real decomposition, not just a bench workload)."""
