@@ -62,7 +62,7 @@ def _solve_pair(dec, n_rhs):
 
 
 def _panels_match(block, seq) -> bool:
-    lam_seq = np.stack([r.lam for r in seq.infos], axis=1)
+    lam_seq = np.hstack([r.lam for r in seq.infos])
     lscale = max(1.0, float(np.abs(lam_seq).max()))
     uscale = max(1.0, float(np.abs(seq.u).max()))
     return bool(

@@ -39,7 +39,7 @@ def main(approach: str = "expl_gpu_opt") -> None:
 
     print(f"\napproach: {approach}")
     print(f"PCPG iterations: {solution.iterations} (converged={solution.info.converged})")
-    print(f"final projected residual: {solution.info.final_residual:.3e}")
+    print(f"final projected residual: {solution.info.final_residuals[0]:.3e}")
 
     u_direct = problem.solve_direct()
     err = np.abs(solution.u - u_direct).max()

@@ -9,9 +9,9 @@ Commands
 ``solve [--dim {2,3}] [--cells N] [--grid PxP..] [--approach NAME]``
     Solve a heat-transfer problem with FETI and report iterations/timings.
     ``--rhs K`` solves a panel of K load cases; ``--block`` runs them
-    through one block PCPG with the grouped (one-launch-per-pattern-class)
+    through one block solve with the grouped (one-launch-per-pattern-class)
     dual operator and stacked preconditioner, ``--sequential`` solves the
-    columns one by one with scalar PCPG (the comparator), and
+    columns one by one with the same solver (the comparator), and
     ``--lowrank-rank R`` adds a rank-R Li–Xi–Saad low-rank correction to
     the preconditioner (``docs/solving.md``).
 ``batch [--dim {2,3}] [--cells N] [--grid PxP..] [--device {gpu,cpu}]``
@@ -498,12 +498,12 @@ def main(argv: list[str] | None = None) -> int:
     mode.add_argument(
         "--block",
         action="store_true",
-        help="solve the panel with one block PCPG (default when --rhs > 1)",
+        help="solve the panel with one block solve (default when --rhs > 1)",
     )
     mode.add_argument(
         "--sequential",
         action="store_true",
-        help="solve the panel column by column with scalar PCPG (comparator)",
+        help="solve the panel column by column, one-column panels (comparator)",
     )
     p_solve.add_argument(
         "--lowrank-rank",

@@ -1,5 +1,5 @@
-"""FETI solver substrate: dual operator, PCPG, Table-2 approaches,
-amortization analysis."""
+"""FETI solver substrate: dual operator, projected block CG, Table-2
+approaches, amortization analysis."""
 
 from repro.feti.amortization import (
     ApproachTiming,
@@ -24,7 +24,6 @@ from repro.feti.operator import (
     build_dual_operator,
     factorize_subdomain,
 )
-from repro.feti.pcpg import PcpgResult, pcpg
 from repro.feti.planner import (
     DEFAULT_CANDIDATES,
     Plan,
@@ -65,8 +64,6 @@ __all__ = [
     "FetiTimings",
     "make_load_panel",
     "solve_feti",
-    "pcpg",
-    "PcpgResult",
     "block_pcpg",
     "BlockPcpgResult",
     "CoarseProblem",

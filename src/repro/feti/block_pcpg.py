@@ -1,28 +1,32 @@
-"""Block (multi-RHS) PCPG for population-scale FETI solves.
+"""Projected conjugate gradients for the FETI dual system (7), one panel
+of load cases at a time.
 
-Solves ``F Λ = D`` for a whole panel of load cases at once: the block
-projector ``P`` and block CG recurrences of O'Leary's block conjugate
-gradients, specialized to the projected FETI dual system.  Per iteration
-the step matrix ``Γ_j = (P_j^T F P_j)^{-1} ρ_j`` (with ``ρ_j = Y_j^T W_j``)
-replaces the scalar ``γ = ρ / p^T F p``; for ``k = 1`` the recurrence
-collapses to :func:`repro.feti.pcpg.pcpg` iterate for iterate.
+Solves ``F Λ = D`` subject to ``Gᵀ Λ = E`` with Ji & Li's breakdown-free
+block CG (BIT Numer. Math. 57, 2017), iterating in ``null(Gᵀ)`` through
+the FETI projector ``Π`` from a feasible start::
 
-Two rank-deficiency mechanisms keep the block well posed:
+    Z = Π M⁻¹ W                        W = Π R, the projected residual
+    P = Π orth(Z)                      (first iteration)
+    α = (PᵀFP)⁻¹ PᵀW                   Λ += Pα,  R -= FPα
+    β = −(PᵀFP)⁻¹ (FP)ᵀ Z
+    P = Π orth(Z + Pβ)
 
-* **Convergence deflation** — a column whose projected residual drops
-  under tolerance is frozen and removed from the active set; the block
-  recurrences continue on the reduced panel (``ρ`` and the search panel
-  are sliced consistently), so converged columns never pollute the step
-  matrix.
-* **Linear-dependence deflation** — when active columns become linearly
-  dependent, the small symmetric systems (``P^T F P`` and ``ρ``) go
-  singular; they are then solved through a truncated eigendecomposition
-  pseudo-inverse, which steps only within the independent subspace.
+``orth`` is a column-pivoted QR of the unit-normed columns that keeps the
+orthonormal directions whose ``|r_jj|`` exceeds ``RANK_CUTOFF · |r_11|``:
+residual columns that become linearly dependent shrink the search panel
+instead of making ``PᵀFP`` singular, so the small system is always
+solved by Cholesky.  A nearly dependent direction carries its rounding
+error amplified by ``|r_11| / |r_jj|``; projecting the orthonormal panel
+once more keeps it in ``null(Gᵀ)`` to rounding.
 
-The per-iteration heavy work is a *panel* application of the dual
-operator and preconditioner — exactly the shape the grouped/batched
-execution path (:class:`repro.feti.operator.GroupedDualOperator`) turns
-into one kernel launch per fingerprint group.
+Each RHS column stops on its own test and leaves the active set; the
+panel keeps searching for the rest.  A one-column panel is classic PCPG
+(Farhat–Roux), so this is the solver for single and multiple RHS alike.
+
+The per-iteration heavy work is one *panel* application of the dual
+operator and the preconditioner — the shape the grouped execution path
+(:class:`repro.feti.operator.GroupedDualOperator`) runs as one kernel
+chain per fingerprint group.
 """
 
 from __future__ import annotations
@@ -37,9 +41,8 @@ from repro.feti.projector import CoarseProblem
 from repro.obs import get_tracer
 from repro.util import require
 
-#: Relative eigenvalue cutoff below which a direction counts as linearly
-#: dependent inside the small block systems.
-DEPENDENCE_CUTOFF = 1e-12
+#: ``orth`` drops directions with ``|r_jj| <= RANK_CUTOFF * |r_11|``.
+RANK_CUTOFF = 1e-10
 
 #: Histogram boundaries for the per-iteration residual decay ratio
 #: (``max residual after / max residual before``; < 1 is progress,
@@ -75,26 +78,20 @@ class BlockPcpgResult:
         return self.residuals[-1] if self.residuals else np.zeros(0)
 
 
-def _solve_spd(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Solve the small symmetric system ``a x = b`` of the block recurrence.
+def orth(x: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the numerically independent columns of *x*.
 
-    Returns ``(x, definite)``.  Nominal path: Cholesky (``a`` is SPD while
-    the active columns stay independent).  Rank-deficient path: truncated
-    eigendecomposition pseudo-inverse — steps within the numerically
-    independent subspace, zero step along dependent directions.
-    ``definite`` is False only when *no* direction has positive curvature
-    (the block analogue of scalar PCPG's ``p^T F p <= 0`` breakdown).
+    Columns are scaled to unit norm first, so the rank test measures
+    linear dependence rather than size: a column near its tolerance keeps
+    its direction beside one that has barely started.
     """
-    try:
-        return scipy.linalg.cho_solve(scipy.linalg.cho_factor(a), b), True
-    except scipy.linalg.LinAlgError:
-        vals, vecs = np.linalg.eigh(a)
-        cutoff = DEPENDENCE_CUTOFF * max(float(vals[-1]), 0.0)
-        keep = vals > cutoff
-        if not np.any(keep):
-            return np.zeros_like(b), False
-        inv = (vecs[:, keep] / vals[keep]) @ vecs[:, keep].T
-        return inv @ b, True
+    norms = np.linalg.norm(x, axis=0)
+    x = x[:, norms > 0.0] / norms[norms > 0.0]
+    if x.shape[1] == 0:
+        return x
+    q, r, _ = scipy.linalg.qr(x, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r))
+    return q[:, : int(np.count_nonzero(diag > RANK_CUTOFF * diag[0]))]
 
 
 def block_pcpg(
@@ -106,15 +103,14 @@ def block_pcpg(
     tol: float = 1e-10,
     max_iter: int = 1000,
 ) -> BlockPcpgResult:
-    """Solve ``F Λ = D`` for a panel of load cases with block PCPG.
+    """Solve ``F Λ = D`` for a panel of load cases with projected block CG.
 
     Parameters
     ----------
     apply_f:
-        Panel-capable dual operator ``Λ -> F Λ`` taking ``(m, a)`` arrays
-        (any active width ``a <= k``).
+        Panel-capable dual operator ``Λ -> F Λ`` taking ``(m, p)`` arrays.
     d:
-        Dual RHS panel ``(n_multipliers, k)``.
+        Dual RHS panel ``(n_multipliers, k)``; a single solve is ``k = 1``.
     g, e:
         Kernel matrix ``G = B R`` and coarse RHS panel ``(kernel_dim, k)``.
     apply_precond:
@@ -122,7 +118,9 @@ def block_pcpg(
     tol:
         Per-column relative tolerance on the projected residual.
     max_iter:
-        Iteration cap; exceeding it returns ``converged=False``.
+        Iteration cap; exceeding it returns ``converged=False``.  So does
+        a search panel on which ``F`` is not positive definite, or one
+        that ``orth`` empties: the solve stops at the current iterate.
     """
     require(d.ndim == 2, "D must be a panel (n_multipliers, k)")
     m, k = d.shape
@@ -131,8 +129,13 @@ def block_pcpg(
     require(
         e.shape == (g.shape[1], k), "E must be a panel (kernel_dim, k) matching D"
     )
+    require(
+        bool(np.all(np.isfinite(d)) and np.all(np.isfinite(e))),
+        "D and E must be finite",
+    )
     require(tol > 0, "tol must be positive")
     require(max_iter >= 1, "max_iter must be >= 1")
+    precond = apply_precond if apply_precond is not None else (lambda w: w)
 
     tracer = get_tracer()
     with tracer.span(
@@ -146,55 +149,44 @@ def block_pcpg(
         norm0 = np.linalg.norm(w, axis=0)  # (k,)
         current = norm0.copy()
         residuals = [current.copy()]
-        deflated_at = np.full(k, -1, dtype=int)
-        # Zero-residual columns are converged at the feasible start.
+        deflated_at = np.where(norm0 > 0.0, -1, 0)
         active = np.flatnonzero(norm0 > 0.0)
-        deflated_at[norm0 == 0.0] = 0
-        if active.size == 0:
-            alpha = coarse.alpha_from(apply_f(lam) - d)
-            solve_span.set(iterations=0, converged=True)
-            return BlockPcpgResult(
-                lam=lam, alpha=alpha, iterations=0, converged=True,
-                residuals=residuals, deflated_at=deflated_at,
-            )
 
-        wa = w[:, active]
-        z = apply_precond(wa) if apply_precond is not None else wa
-        y = coarse.project(z)
-        p = y.copy()  # search panel (m, a)
-        rho = y.T @ wa  # (a, a), symmetric PSD
-
-        converged = False
         it = 0
-        for it in range(1, max_iter + 1):
+        if active.size:  # otherwise every column starts converged
+            wa = w[:, active]
+            z = coarse.project(precond(wa))
+            p = coarse.project(orth(z))
+        for it in range(1, max_iter + 1) if active.size else ():
             with tracer.span(
-                "pcpg.block_iteration", iteration=it, active=int(active.size)
+                "pcpg.block_iteration",
+                iteration=it, active=int(active.size), rank=int(p.shape[1]),
             ) as iter_span:
-                prev_max = float(current[active].max())
-                fp = apply_f(p)  # (m, a)
-                ptfp = p.T @ fp
-                gamma, definite = _solve_spd(ptfp, rho)
-                if not definite:
-                    # Loss of positive definiteness on the projected space —
-                    # stop with the current iterate rather than diverge.
+                if p.shape[1] == 0:
+                    break  # no search direction left: stalled
+                fp = apply_f(p)  # (m, rank)
+                try:
+                    chol = scipy.linalg.cho_factor(p.T @ fp)
+                except scipy.linalg.LinAlgError:
+                    # F is not positive definite on the search panel: stop
+                    # at the current iterate rather than diverge.
                     break
-                lam[:, active] += p @ gamma
-                r[:, active] -= fp @ gamma
+                step = scipy.linalg.cho_solve(chol, p.T @ wa)
+                lam[:, active] += p @ step
+                r[:, active] -= fp @ step
                 wa = coarse.project(r[:, active])
                 norms = np.linalg.norm(wa, axis=0)
+                prev_max = float(current[active].max())
                 current[active] = norms
                 residuals.append(current.copy())
-                iter_span.set(
-                    residual=float(norms.max()), active=int(active.size)
-                )
+                iter_span.set(residual=float(norms.max()))
                 if tracer.enabled:
                     tracer.metrics.count("pcpg.iterations")
-                    if prev_max > 0.0:
-                        tracer.metrics.observe(
-                            "pcpg.residual_decay",
-                            float(norms.max()) / prev_max,
-                            boundaries=DECAY_BUCKETS,
-                        )
+                    tracer.metrics.observe(
+                        "pcpg.residual_decay",
+                        float(norms.max()) / prev_max,
+                        boundaries=DECAY_BUCKETS,
+                    )
 
                 done = norms <= tol * norm0[active]
                 if np.any(done):
@@ -202,24 +194,15 @@ def block_pcpg(
                     if tracer.enabled:
                         tracer.metrics.count("pcpg.deflations", int(done.sum()))
                         iter_span.set(deflated=int(done.sum()))
-                    keep = np.flatnonzero(~done)
-                    active = active[keep]
+                    active, wa = active[~done], wa[:, ~done]
                     if active.size == 0:
-                        converged = True
                         break
-                    # Reduce the block: drop converged columns from the
-                    # residual/search panels and slice ρ consistently.
-                    wa = wa[:, keep]
-                    p = p[:, keep]
-                    rho = rho[np.ix_(keep, keep)]
 
-                z = apply_precond(wa) if apply_precond is not None else wa
-                y = coarse.project(z)
-                rho_new = y.T @ wa
-                beta, _ = _solve_spd(rho, rho_new)
-                rho = rho_new
-                p = y + p @ beta
+                z = coarse.project(precond(wa))
+                beta = -scipy.linalg.cho_solve(chol, fp.T @ z)
+                p = coarse.project(orth(z + p @ beta))
 
+        converged = bool(active.size == 0)
         alpha = coarse.alpha_from(apply_f(lam) - d)
         solve_span.set(iterations=it, converged=converged)
     return BlockPcpgResult(
@@ -228,4 +211,4 @@ def block_pcpg(
     )
 
 
-__all__ = ["block_pcpg", "BlockPcpgResult", "DECAY_BUCKETS", "DEPENDENCE_CUTOFF"]
+__all__ = ["block_pcpg", "orth", "BlockPcpgResult", "DECAY_BUCKETS", "RANK_CUTOFF"]

@@ -178,8 +178,14 @@ class DualOperator:
         return 3 if self.explicit else 6
 
     def apply(self, lam: np.ndarray) -> np.ndarray:
-        """``q = F lam`` — concurrent local applications, additive gather."""
-        require(lam.shape == (self.n_multipliers,), "dual vector size mismatch")
+        """``q = F lam`` — concurrent local applications, additive gather.
+
+        *lam* is a dual vector ``(m,)`` or a panel ``(m, k)``.
+        """
+        require(
+            lam.ndim in (1, 2) and lam.shape[0] == self.n_multipliers,
+            "dual input must be (n_multipliers,) or (n_multipliers, k)",
+        )
         dec = self.decomposition
         contribs = [
             op.apply(lam_local)

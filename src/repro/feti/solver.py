@@ -1,7 +1,8 @@
 """The FETI solver: initialization, preprocessing, solution (§2.2).
 
 Drives one of the Table-2 dual-operator approaches over all subdomains,
-assembles the coarse problem, runs PCPG and recovers the primal solution.
+assembles the coarse problem, runs the projected CG of
+:mod:`repro.feti.block_pcpg` and recovers the primal solution.
 Simulated stage timings are aggregated so the benchmarks can reproduce the
 paper's preprocessing (Fig. 9) and amortization (Fig. 10) studies.
 """
@@ -13,9 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.dd.decomposition import Decomposition
+from repro.feti.block_pcpg import BlockPcpgResult, block_pcpg
 from repro.feti.dual_approaches import DualOperatorApproach, make_approach
 from repro.feti.operator import DualOperator, build_dual_operator
-from repro.feti.pcpg import PcpgResult, pcpg
 from repro.feti.preconditioner import make_preconditioner
 from repro.sparse.reuse import SymbolicReuse
 from repro.util import require
@@ -61,11 +62,14 @@ class FetiTimings:
 
 @dataclass
 class FetiSolution:
-    """Primal solution plus dual-iteration info and simulated timings."""
+    """Primal solution plus dual-iteration info and simulated timings.
+
+    ``info`` is the one-column panel solve of the dual problem.
+    """
 
     u: np.ndarray
     u_locals: list[np.ndarray]
-    info: PcpgResult
+    info: BlockPcpgResult
     timings: FetiTimings
 
     @property
@@ -79,9 +83,8 @@ class BlockFetiSolution:
 
     ``u`` stacks one global nodal field per RHS column; ``infos`` holds
     the single :class:`~repro.feti.block_pcpg.BlockPcpgResult` of a block
-    solve or the k :class:`~repro.feti.pcpg.PcpgResult` of a sequential
-    one.  ``stats`` is the solve-phase counter report
-    (:class:`repro.batch.stats.SolveStats`).
+    solve or the k one-column results of a sequential one.  ``stats`` is
+    the solve-phase counter report (:class:`repro.batch.stats.SolveStats`).
     """
 
     u: np.ndarray  #: (n_dofs, k)
@@ -144,9 +147,9 @@ class FetiSolver:
     ordering / engine:
         Forwarded to the per-subdomain factorization.
     preconditioner:
-        ``"lumped"`` (default), ``"none"``.
+        ``"lumped"`` (default), ``"dirichlet"`` or ``"none"``.
     tol / max_iter:
-        PCPG controls.
+        Projected-CG controls.
     """
 
     def __init__(
@@ -214,31 +217,23 @@ class FetiSolver:
         return t
 
     def solve(self) -> FetiSolution:
-        """Run PCPG on the dual problem and recover the primal solution."""
+        """Solve the dual problem as a one-column panel and recover the
+        primal solution.  An empty dual problem (one subdomain, no
+        interfaces) converges at the feasible start: ``u_i = K_i^+ f_i``."""
         if self.operator is None:
             self.preprocess()
         op = self.operator
         require(op is not None, "preprocess() must run before solve()")
-        if self.decomposition.n_multipliers == 0:
-            # Degenerate decomposition (single subdomain, no interfaces):
-            # the dual problem is empty and u_i = K_i^+ f_i directly.
-            info = PcpgResult(
-                lam=np.zeros(0), alpha=np.zeros(0), iterations=0, converged=True,
-                residuals=[0.0],
-            )
-            u_locals = op.recover_solution(info.lam, info.alpha)
-            u = self.decomposition.expand_solution(u_locals)
-            return FetiSolution(u=u, u_locals=u_locals, info=info, timings=self.timings)
-        info = pcpg(
-            apply_f=op.apply,
-            d=op.d,
-            g=op.g,
-            e=op.e,
+        info = block_pcpg(
+            op.apply,
+            op.d[:, None],
+            op.g,
+            op.e[:, None],
             apply_precond=self.preconditioner.apply,
             tol=self.tol,
             max_iter=self.max_iter,
         )
-        u_locals = op.recover_solution(info.lam, info.alpha)
+        u_locals = op.recover_solution(info.lam[:, 0], info.alpha[:, 0])
         u = self.decomposition.expand_solution(u_locals)
         return FetiSolution(u=u, u_locals=u_locals, info=info, timings=self.timings)
 
@@ -291,10 +286,11 @@ class FetiSolver:
         """Population-scale solve: one decomposition, *n_rhs* load cases.
 
         With *block* (default) all columns run through one
-        :func:`~repro.feti.block_pcpg.block_pcpg`; otherwise the columns
-        are solved sequentially with scalar PCPG (the comparator).  With
-        *grouped* the per-iteration operator applications run batched
-        through a :class:`~repro.feti.operator.GroupedDualOperator` — the
+        :func:`~repro.feti.block_pcpg.block_pcpg`; otherwise each column
+        is its own one-column panel through the same solver (the
+        comparator).  With *grouped* the per-iteration operator
+        applications run batched through a
+        :class:`~repro.feti.operator.GroupedDualOperator` — the
         GEMM chain over the assembled Schur complements when the approach
         is explicit, the TRSM chain over the factors (tier picked by
         *signature*) when it is implicit — and the lumped preconditioner through
@@ -306,7 +302,6 @@ class FetiSolver:
         """
         from repro.batch.engine import BatchAssembler
         from repro.batch.stats import SolveStats
-        from repro.feti.block_pcpg import block_pcpg
         from repro.feti.operator import GroupedDualOperator
         from repro.feti.preconditioner import (
             LowRankCorrection,
@@ -332,13 +327,7 @@ class FetiSolver:
         d_panel, e_panel = self._dual_panels(load_panels)
 
         gop = GroupedDualOperator(op, signature=signature) if grouped else None
-        apply_panel = (
-            gop.apply_panel
-            if gop is not None
-            else lambda panel: np.stack(
-                [op.apply(panel[:, j]) for j in range(panel.shape[1])], axis=1
-            )
-        )
+        apply_panel = gop.apply_panel if gop is not None else op.apply
         precond = self.preconditioner
         if grouped and isinstance(precond, LumpedPreconditioner):
             precond = StackedPreconditioner(
@@ -355,38 +344,25 @@ class FetiSolver:
             )
 
         apply_elapsed0 = gop.executor.elapsed if gop is not None else 0.0
-        if block:
-            info = block_pcpg(
+        panels = [slice(None)] if block else [slice(j, j + 1) for j in range(n_rhs)]
+        infos = [
+            block_pcpg(
                 apply_panel,
-                d_panel,
+                d_panel[:, cols],
                 op.g,
-                e_panel,
+                e_panel[:, cols],
                 apply_precond=precond.apply,
                 tol=self.tol,
                 max_iter=self.max_iter,
             )
-            infos = [info]
-            lam, alpha = info.lam, info.alpha
-            iterations = info.iterations
-            n_deflated = int(np.count_nonzero(info.deflated_at >= 0))
-        else:
-            infos = []
-            lam = np.zeros_like(d_panel)
-            alpha = np.zeros((op.g.shape[1], n_rhs))
-            for j in range(n_rhs):
-                res = pcpg(
-                    apply_f=lambda v: apply_panel(v[:, None])[:, 0],
-                    d=d_panel[:, j],
-                    g=op.g,
-                    e=e_panel[:, j],
-                    apply_precond=precond.apply,
-                    tol=self.tol,
-                    max_iter=self.max_iter,
-                )
-                infos.append(res)
-                lam[:, j], alpha[:, j] = res.lam, res.alpha
-            iterations = sum(res.iterations for res in infos)
-            n_deflated = 0
+            for cols in panels
+        ]
+        lam = np.hstack([info.lam for info in infos])
+        alpha = np.hstack([info.alpha for info in infos])
+        iterations = sum(info.iterations for info in infos)
+        n_deflated = (
+            int(np.count_nonzero(infos[0].deflated_at >= 0)) if block else 0
+        )
 
         n_subs = self.decomposition.n_subdomains
         launches_seq = (

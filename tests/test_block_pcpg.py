@@ -1,15 +1,17 @@
-"""Property tests for the block (multi-RHS) PCPG solver.
+"""Property tests for the FETI dual solver, the projected block CG.
 
-Block PCPG is recurrence-heavy code, so the correctness argument is a set
+The solver is recurrence-heavy code, so the correctness argument is a set
 of invariants rather than hand-picked examples:
 
-* with one RHS column the block recurrence collapses to the scalar
-  :func:`repro.feti.pcpg.pcpg` **iterate for iterate** (same iteration
-  count, same residual history, same multipliers),
-* the block solution matches ``k`` independent sequential scalar solves at
+* a one-column panel is classic PCPG: it matches the test-side scalar
+  oracle (:mod:`tests.scalar_pcpg`) within one iteration, with the same
+  multipliers to a stated budget,
+* the block solution matches ``k`` independent sequential solves at
   tight tolerance — on synthetic dual systems and end-to-end through
   :meth:`FetiSolver.solve_block` across the mesh zoo, both graph
   partitioners and every preconditioner,
+* the iteration count is stable: rounding-level perturbations of ``F``
+  move it by at most two iterations,
 * the coarse projector is idempotent and annihilates ``G^T`` on every
   panel the iteration touches, and
 * deflated columns stay converged: a column's residual history is frozen
@@ -21,12 +23,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.feti.block_pcpg import BlockPcpgResult, block_pcpg
-from repro.feti.pcpg import pcpg
+from repro.feti.block_pcpg import RANK_CUTOFF, BlockPcpgResult, block_pcpg, orth
 from repro.feti.projector import CoarseProblem
+from tests.scalar_pcpg import scalar_pcpg
 
 RTOL, ATOL = 1e-9, 1e-10
 
@@ -48,7 +50,7 @@ def _dual_system(m: int, kdim: int, seed: int):
 def _solve_columns(f, d, g, e, **kwargs):
     """Column-by-column scalar PCPG — the sequential comparator."""
     results = [
-        pcpg(lambda v: f @ v, d[:, j], g, e[:, j], **kwargs)
+        scalar_pcpg(lambda v: f @ v, d[:, j], g, e[:, j], **kwargs)
         for j in range(d.shape[1])
     ]
     lam = np.stack([r.lam for r in results], axis=1)
@@ -62,32 +64,25 @@ def _solve_columns(f, d, g, e, **kwargs):
     seed=st.integers(0, 10_000),
     precond=st.booleans(),
 )
-# Equal iteration counts and histories, max|lam_block - lam_scalar| = 2.09e-13:
-# rounding noise that an unscaled atol=1e-13 rejected.
-@example(m=21, kdim=0, seed=8353, precond=True)
 def test_property_block_k1_matches_scalar_iterate_for_iterate(m, kdim, seed, precond):
+    """A one-column panel is the scalar recurrence up to rounding: within
+    one iteration, and the multipliers within 1e-10 of their size."""
     f, g, rng = _dual_system(m, kdim, seed)
     d = rng.standard_normal((m, 1))
     e = rng.standard_normal((kdim, 1))
     mdiag = 1.0 + rng.random(m)
     pc = (lambda w: (w.T * mdiag).T) if precond else None
 
-    scalar = pcpg(lambda v: f @ v, d[:, 0], g, e[:, 0], apply_precond=pc)
+    scalar = scalar_pcpg(lambda v: f @ v, d[:, 0], g, e[:, 0], apply_precond=pc)
     block = block_pcpg(lambda x: f @ x, d, g, e, apply_precond=pc)
 
-    assert block.iterations == scalar.iterations
-    assert block.converged == scalar.converged
-    assert len(block.residuals) == len(scalar.residuals)
-    # identical history up to rounding noise relative to the start residual
-    # (the final entries sit at machine noise, where summation order differs)
-    floor = 1e-11 * scalar.residuals[0]
-    for bres, sres in zip(block.residuals, scalar.residuals):
-        assert bres.shape == (1,)
-        assert bres[0] == pytest.approx(sres, rel=1e-9, abs=floor)
-    # the iterates carry the same noise as the residuals, floored like them
-    atol = 1e-11 * float(np.abs(scalar.lam).max())
-    assert np.allclose(block.lam[:, 0], scalar.lam, rtol=1e-12, atol=atol)
-    assert np.allclose(block.alpha[:, 0], scalar.alpha, rtol=1e-10, atol=atol)
+    assert block.converged and scalar.converged
+    assert abs(block.iterations - scalar.iterations) <= 1
+    assert len(block.residuals) == block.iterations + 1
+    assert block.residuals[0][0] == pytest.approx(scalar.residuals[0], rel=1e-12)
+    budget = 1e-10 * float(np.abs(scalar.lam).max())
+    assert np.abs(block.lam[:, 0] - scalar.lam).max() <= budget
+    assert np.allclose(block.alpha[:, 0], scalar.alpha, rtol=1e-8, atol=budget)
 
 
 @settings(max_examples=25, deadline=None)
@@ -142,9 +137,9 @@ def test_property_projector_invariants_on_every_iterate(m, kdim, seed):
 @settings(max_examples=15, deadline=None)
 @given(m=st.integers(8, 20), kdim=st.integers(0, 2), seed=st.integers(0, 10_000))
 def test_property_dependent_columns_deflate_and_match(m, kdim, seed):
-    """Linearly dependent RHS columns (duplicates up to scale) drive the
-    small block systems singular; the pseudo-inverse path still converges
-    to the per-column answers."""
+    """Linearly dependent RHS columns (duplicates up to scale) would make
+    the small block systems singular; ``orth`` drops the dependent search
+    direction and the solve still converges to the per-column answers."""
     f, g, rng = _dual_system(m, kdim, seed)
     d = rng.standard_normal((m, 3))
     d[:, 1] = 2.0 * d[:, 0]  # dependent from iteration one
@@ -234,6 +229,124 @@ def test_result_helpers():
 
 
 # ---------------------------------------------------------------------------
+# robustness: rounding, breakdown, rank deficiency
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(20, 80),
+    k=st.integers(2, 8),
+    kdim=st.integers(0, 3),
+    seed=st.integers(0, 10_000),
+)
+def test_property_rounding_perturbation_moves_iterations_by_at_most_two(
+    m, k, kdim, seed
+):
+    """Scaling ``F`` symmetrically by ``1 + 1e-15 N(0, 1)`` changes nothing
+    but rounding; the iteration count may move by two at most.  (The
+    Cholesky-on-``ρ`` recurrence this solver replaced moved by up to 989
+    iterations over 100 draws of this kind.)"""
+    rng = np.random.default_rng(seed)
+    q = rng.standard_normal((m, m))
+    f = q @ q.T + 1e-2 * np.eye(m)
+    g = rng.standard_normal((m, kdim))
+    d = rng.standard_normal((m, k))
+    e = rng.standard_normal((kdim, k))
+    s = 1.0 + 1e-15 * rng.standard_normal(m)
+    f_perturbed = (f * s).T * s
+
+    base = block_pcpg(lambda x: f @ x, d, g, e)
+    perturbed = block_pcpg(lambda x: f_perturbed @ x, d, g, e)
+    assert base.converged and perturbed.converged
+    assert abs(base.iterations - perturbed.iterations) <= 2
+
+
+def test_orth_keeps_the_independent_directions():
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((12, 3))
+    q = orth(np.column_stack([x, x @ [1.0, -2.0, 0.5], 3.0 * x[:, 1]]))
+    assert q.shape == (12, 3)
+    assert np.allclose(q.T @ q, np.eye(3), atol=1e-12)
+    # same span as the independent columns
+    assert np.allclose(q @ (q.T @ x), x, atol=1e-12)
+    # dependence below the cutoff drops a direction; smallness does not
+    near = np.column_stack([x[:, 0], x[:, 0] + 0.1 * RANK_CUTOFF * x[:, 1]])
+    assert orth(near).shape == (12, 1)
+    tiny = np.column_stack([x[:, 0], 1e-20 * x[:, 1]])
+    assert orth(tiny).shape == (12, 2)
+    assert orth(np.zeros((5, 2))).shape == (5, 0)
+
+
+def test_indefinite_operator_stops_without_exception():
+    """An indefinite ``PᵀFP`` stops the solve at the current iterate with
+    ``converged=False`` — no exception, no divergence."""
+    rng = np.random.default_rng(4)
+    q, _ = np.linalg.qr(rng.standard_normal((10, 10)))
+    f = (q * np.linspace(-1.0, 1.0, 10)) @ q.T
+    d = q[:, :2] + q[:, -2:]
+    res = block_pcpg(lambda x: f @ x, d, np.zeros((10, 0)), np.zeros((0, 2)))
+    assert not res.converged
+    assert res.iterations >= 1
+    assert np.all(np.isfinite(res.lam))
+    assert np.all(res.deflated_at == -1)
+
+
+@pytest.mark.parametrize("where", ["d", "e"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_rhs_raises(where, bad):
+    f, g, rng = _dual_system(8, 2, seed=2)
+    d = rng.standard_normal((8, 2))
+    e = rng.standard_normal((2, 2))
+    (d if where == "d" else e)[0, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        block_pcpg(lambda x: f @ x, d, g, e)
+
+
+@pytest.mark.parametrize("seed", [22, 32, 39, 53])
+def test_columns_of_very_different_size_converge(seed):
+    """Columns scaled 1, 1e-6 and 1e-12 (each with its own relative
+    tolerance) on a spectrum spanning 1e-2..1e2: the rank test of ``orth``
+    sees unit-normed columns, so the small columns keep their search
+    directions (without that, or without re-projecting the orthonormal
+    panel, these draws stall at 1000 iterations)."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((60, 60)))
+    f = (q * np.geomspace(1e-2, 1e2, 60)) @ q.T
+    g = rng.standard_normal((60, 2))
+    scale = np.array([1.0, 1e-6, 1e-12])
+    d = rng.standard_normal((60, 3)) * scale
+    e = rng.standard_normal((2, 3)) * scale
+    res = block_pcpg(lambda x: f @ x, d, g, e)
+    assert res.converged and res.iterations <= 100
+
+
+def test_more_rhs_than_multipliers_converges():
+    """``k > m``: the residual panel is rank deficient from the start and
+    ``orth`` keeps at most ``m`` directions."""
+    f, g, rng = _dual_system(6, 1, seed=9)
+    d = rng.standard_normal((6, 10))
+    e = rng.standard_normal((1, 10))
+    res = block_pcpg(lambda x: f @ x, d, g, e)
+    assert res.converged
+    lam_seq, _ = _solve_columns(f, d, g, e)
+    assert np.allclose(res.lam, lam_seq, rtol=RTOL, atol=ATOL * np.abs(lam_seq).max())
+
+
+def test_empty_dual_space_converges_at_the_feasible_start():
+    """No multipliers: the solve returns at once with an empty panel (the
+    single-subdomain FETI problem takes this path)."""
+    calls = []
+    res = block_pcpg(
+        lambda x: calls.append(x.shape) or x, np.zeros((0, 1)),
+        np.zeros((0, 0)), np.zeros((0, 1)),
+    )
+    assert res.converged and res.iterations == 0
+    assert res.lam.shape == (0, 1) and res.alpha.shape == (0, 1)
+    assert np.array_equal(res.deflated_at, [0])
+
+
+# ---------------------------------------------------------------------------
 # end to end: mesh zoo x partitioner x preconditioner
 # ---------------------------------------------------------------------------
 
@@ -286,7 +399,7 @@ def test_property_solve_block_matches_sequential_end_to_end(
     assert block.converged and seq.converged
     scale = max(1.0, float(np.abs(seq.u).max()))
     assert np.allclose(block.u, seq.u, rtol=RTOL, atol=ATOL * scale)
-    lam_seq = np.stack([r.lam for r in seq.infos], axis=1)
+    lam_seq = np.hstack([r.lam for r in seq.infos])
     lscale = max(1.0, float(np.abs(lam_seq).max()))
     assert np.allclose(block.infos[0].lam, lam_seq, rtol=RTOL, atol=ATOL * lscale)
     # shared Krylov information: block never meaningfully slower than the
@@ -386,3 +499,62 @@ def test_block_pcpg_records_convergence_metrics():
     # an SPD system with exact arithmetic contracts; allow slack for the
     # odd stalled iteration but the median decay must be real progress
     assert decay.percentile(50) < 1.0
+
+
+class _DenseLocalLumped:
+    """The lumped preconditioner built from dense local ``B_i K_i B_i^T``
+    blocks: equal to :class:`LumpedPreconditioner` up to 1e-16 relative
+    rounding, applied in a different summation order."""
+
+    def __init__(self, dec):
+        self.dec = dec
+        self.blocks = [(sub.bt.T @ (sub.k @ sub.bt)).toarray() for sub in dec.subdomains]
+
+    def apply(self, w):
+        out = np.zeros_like(w)
+        for sub, block in zip(self.dec.subdomains, self.blocks):
+            out[sub.multiplier_ids] += block @ w[sub.multiplier_ids]
+        return out
+
+
+def test_block_solve_iterations_survive_preconditioner_rounding():
+    """The benchmark's block solve (6x6, 72 cells, 4 RHS) converges in at
+    most 33 iterations on seeds 0-3, and a preconditioner that differs only
+    by rounding keeps seed 1 there (the replaced recurrence went 35 -> 177)."""
+    from repro.dd import decompose
+    from repro.fem import heat_transfer_2d
+    from repro.feti.solver import FetiSolver
+
+    dec = decompose(heat_transfer_2d(72, dirichlet=("left", "right")), grid=(6, 6))
+    solver = FetiSolver(dec, approach="expl_gpu_opt")
+    solver.preprocess()
+    for seed in range(4):
+        sol = solver.solve_block(n_rhs=4, block=True, seed=seed)
+        assert sol.converged and sol.iterations <= 33, (seed, sol.iterations)
+    solver.preconditioner = _DenseLocalLumped(dec)
+    sol = solver.solve_block(n_rhs=4, block=True, seed=1)
+    assert sol.converged and sol.iterations <= 35
+
+
+@pytest.mark.parametrize("mesh", ["square", "jittered", "lshape", "strip"])
+def test_wide_unpreconditioned_panel_converges_across_the_zoo(mesh):
+    """16 nearly dependent load cases with no preconditioner — the panel
+    whose orthonormalised directions carry the most amplified rounding —
+    converge within two iterations of the slowest scalar-oracle column."""
+    from repro.dd import decompose
+    from repro.fem import heat_problem
+    from repro.feti.solver import FetiSolver, make_load_panel
+    from repro.part import make_mesh
+
+    dirichlet = ("left",) if mesh == "square" else ("boundary",)
+    problem = heat_problem(make_mesh(mesh, 12, seed=0), dirichlet=dirichlet)
+    dec = decompose(problem, n_subdomains=6, partitioner="rcb", seed=0)
+    solver = FetiSolver(dec, approach="impl_mkl", preconditioner="none")
+    sol = solver.solve_block(n_rhs=16, block=True, grouped=True, seed=0)
+    d, e = solver._dual_panels(make_load_panel(dec, 16, seed=0))
+    op = solver.operator
+    scalar = max(
+        scalar_pcpg(op.apply, d[:, j], op.g, e[:, j]).iterations for j in range(16)
+    )
+    assert sol.converged
+    assert sol.iterations <= scalar + 2

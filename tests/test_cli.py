@@ -47,6 +47,17 @@ def test_cli_solve_gates_on_the_error_it_prints(extra, capsys, monkeypatch):
     assert "exceeds 1e-6" in captured.err
 
 
+@pytest.mark.parametrize("rhs", ["8", "16"])
+def test_cli_wide_block_solve_converges(rhs, capsys):
+    """Wide panels of nearly dependent load cases converge on the 6x6 grid
+    (the Cholesky-on-``ρ`` recurrence ran out of iterations at 8 columns and
+    raised on non-finite Gram entries at 16)."""
+    assert main(["solve", "--grid", "6x6", "--rhs", rhs, "--block"]) == 0
+    captured = capsys.readouterr()
+    assert f"{rhs} RHS column(s)" in captured.out
+    assert captured.err == ""
+
+
 def test_cli_run_saves_results(tmp_path, capsys):
     rc = main(["run", "fig05", "--out", str(tmp_path)])
     assert rc == 0

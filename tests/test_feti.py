@@ -1,4 +1,4 @@
-"""Tests for the FETI solver: operators, projector, PCPG, approaches."""
+"""Tests for the FETI solver: operators, projector, projected CG, approaches."""
 
 from __future__ import annotations
 
@@ -14,8 +14,8 @@ from repro.feti import (
     FetiSolver,
     build_dual_operator,
     factorize_subdomain,
+    block_pcpg,
     make_approach,
-    pcpg,
     solve_feti,
 )
 from repro.feti.operator import ExplicitLocalOperator, ImplicitLocalOperator
@@ -146,7 +146,7 @@ def test_timings_preprocessing_ordering(decomposition_2d):
 
 
 # ---------------------------------------------------------------------------
-# projector / pcpg unit tests
+# projector / projected-CG unit tests (single solves are one-column panels)
 # ---------------------------------------------------------------------------
 
 
@@ -179,12 +179,12 @@ def test_coarse_problem_rank_deficient():
 
 
 def test_pcpg_on_spd_system(rng):
-    """PCPG with empty G reduces to plain CG."""
+    """Projected CG with empty G reduces to plain CG."""
     n = 30
     a = rng.standard_normal((n, n))
     a = a @ a.T + n * np.eye(n)
-    b = rng.standard_normal(n)
-    res = pcpg(lambda x: a @ x, b, np.zeros((n, 0)), np.zeros(0), tol=1e-12)
+    b = rng.standard_normal((n, 1))
+    res = block_pcpg(lambda x: a @ x, b, np.zeros((n, 0)), np.zeros((0, 1)), tol=1e-12)
     assert res.converged
     assert np.allclose(a @ res.lam, b, atol=1e-6)
 
@@ -194,23 +194,25 @@ def test_pcpg_respects_constraint(rng):
     a = rng.standard_normal((n, n))
     a = a @ a.T + n * np.eye(n)
     g = rng.standard_normal((n, k))
-    e = rng.standard_normal(k)
-    res = pcpg(lambda x: a @ x, rng.standard_normal(n), g, e, tol=1e-10)
+    e = rng.standard_normal((k, 1))
+    res = block_pcpg(lambda x: a @ x, rng.standard_normal((n, 1)), g, e, tol=1e-10)
     assert np.allclose(g.T @ res.lam, e, atol=1e-8)
 
 
 def test_pcpg_validates(rng):
+    empty = np.zeros((0, 1))
     with pytest.raises(ValueError):
-        pcpg(lambda x: x, np.ones(3), np.zeros((4, 0)), np.zeros(0))
+        block_pcpg(lambda x: x, np.ones((3, 1)), np.zeros((4, 0)), empty)
     with pytest.raises(ValueError):
-        pcpg(lambda x: x, np.ones(3), np.zeros((3, 0)), np.zeros(0), tol=0.0)
+        block_pcpg(lambda x: x, np.ones((3, 1)), np.zeros((3, 0)), empty, tol=0.0)
     with pytest.raises(ValueError):
-        pcpg(lambda x: x, np.ones(3), np.zeros((3, 0)), np.zeros(0), max_iter=0)
+        block_pcpg(lambda x: x, np.ones((3, 1)), np.zeros((3, 0)), empty, max_iter=0)
 
 
 def test_pcpg_iteration_history(decomposition_2d):
     sol = solve_feti(decomposition_2d, approach="impl_mkl", tol=1e-10)
-    res = sol.info.residuals
+    res = sol.info.column_residuals(0)
     assert len(res) == sol.iterations + 1
     assert res[-1] <= 1e-10 * res[0]
-    assert sol.info.final_residual == res[-1]
+    assert sol.info.final_residuals[0] == res[-1]
+    assert np.array_equal(sol.info.deflated_at, [sol.iterations])

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.feti.pcpg import pcpg
+from repro.feti.block_pcpg import block_pcpg
 from repro.feti.preconditioner import (
     IdentityPreconditioner,
     LowRankCorrection,
@@ -123,13 +123,13 @@ def test_property_corrected_modes_land_on_eigenvalue_one(m, rank, seed):
 def test_property_corrected_iterations_never_worse_synthetic(seed, rank):
     m = 40
     f, g, rng = _dual_system(m, 2, seed, spread=1000.0)
-    d = rng.standard_normal(m)
-    e = rng.standard_normal(2)
+    d = rng.standard_normal((m, 1))
+    e = rng.standard_normal((2, 1))
     base = IdentityPreconditioner()
-    plain = pcpg(lambda v: f @ v, d, g, e, apply_precond=base.apply)
+    plain = block_pcpg(_panel_apply(f), d, g, e, apply_precond=base.apply)
     lr = LowRankCorrection(base, _panel_apply(f), g, rank)
     assert lr.effective_rank > 0  # wide spectrum: modes below 1 exist
-    corrected = pcpg(lambda v: f @ v, d, g, e, apply_precond=lr.apply)
+    corrected = block_pcpg(_panel_apply(f), d, g, e, apply_precond=lr.apply)
     assert corrected.converged
     assert corrected.iterations <= plain.iterations
 
@@ -152,21 +152,18 @@ def strip_solver_parts():
     solver.preprocess()
     op = solver.operator
     d, e = solver._dual_panels([sub.f[:, None] for sub in dec.subdomains])
-    return dec, op, d[:, 0], e[:, 0]
+    return dec, op, d, e
 
 
 def test_strip_corrected_iterations_never_worse(strip_solver_parts):
     dec, op, d, e = strip_solver_parts
-    apply_panel = lambda p: np.stack(
-        [op.apply(p[:, j]) for j in range(p.shape[1])], axis=1
-    )
     base = IdentityPreconditioner()
-    plain = pcpg(op.apply, d, op.g, e, apply_precond=base.apply)
+    plain = block_pcpg(op.apply, d, op.g, e, apply_precond=base.apply)
     assert plain.converged
     for rank in (4, 16, 32):
-        lr = LowRankCorrection(base, apply_panel, op.g, rank)
+        lr = LowRankCorrection(base, op.apply, op.g, rank)
         assert lr.effective_rank > 0
-        res = pcpg(op.apply, d, op.g, e, apply_precond=lr.apply)
+        res = block_pcpg(op.apply, d, op.g, e, apply_precond=lr.apply)
         assert res.converged
         assert res.iterations <= plain.iterations
 
@@ -175,11 +172,8 @@ def test_strip_lumped_base_already_bounded_below_by_one(strip_solver_parts):
     """On top of the lumped preconditioner every mu >= 1, theta clips to
     zero and the correction degenerates to a bitwise forward."""
     dec, op, d, e = strip_solver_parts
-    apply_panel = lambda p: np.stack(
-        [op.apply(p[:, j]) for j in range(p.shape[1])], axis=1
-    )
     base = LumpedPreconditioner(dec)
-    lr = LowRankCorrection(base, apply_panel, op.g, rank=16)
+    lr = LowRankCorrection(base, op.apply, op.g, rank=16)
     assert lr.effective_rank == 0
     rng = np.random.default_rng(0)
     w = rng.standard_normal((op.n_multipliers, 2))

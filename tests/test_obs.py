@@ -553,17 +553,17 @@ def test_pcpg_iteration_spans():
     f = a @ a.T + 12.0 * np.eye(12)
     g = rng.standard_normal((12, 2))
     with tracing() as tr:
-        from repro.feti.pcpg import pcpg
+        from repro.feti.block_pcpg import block_pcpg
 
-        res = pcpg(
+        res = block_pcpg(
             lambda x: f @ x,
-            rng.standard_normal(12),
+            rng.standard_normal((12, 1)),
             g,
-            rng.standard_normal(2),
+            rng.standard_normal((2, 1)),
             tol=1e-8,
         )
-    solves = [s for s in tr.spans() if s.name == "pcpg.solve"]
-    iters = [s for s in tr.spans() if s.name == "pcpg.iteration"]
+    solves = [s for s in tr.spans() if s.name == "pcpg.block_solve"]
+    iters = [s for s in tr.spans() if s.name == "pcpg.block_iteration"]
     assert len(solves) == 1
     assert solves[0].attrs["converged"] is True
     assert len(iters) == res.iterations
