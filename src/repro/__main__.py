@@ -77,7 +77,9 @@ def _cmd_list(_args) -> int:
 def _cmd_run(args) -> int:
     from repro.bench import results_dir, run_experiment
 
-    result = run_experiment(args.experiment, quick=not args.paper_scale)
+    result = run_experiment(
+        args.experiment, quick=not args.paper_scale, paper_scale=args.paper_scale
+    )
     print(result.render())
     path = result.save(args.out or results_dir())
     print(f"\n[saved to {path}]")

@@ -14,7 +14,7 @@ from repro.feti.dual_approaches import (
     estimate_approach_timing,
     make_approach,
 )
-from repro.feti.block_pcpg import BlockPcpgResult, block_pcpg
+from repro.feti.block_cg import BlockPcpgResult, block_pcpg
 from repro.feti.operator import (
     DualOperator,
     ExplicitLocalOperator,

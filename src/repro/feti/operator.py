@@ -6,6 +6,11 @@ or *explicitly* (one dense GEMV against the preassembled ``F̃_i``, eq. 12).
 The global operator combines the local ones additively through the
 decomposition's gather/scatter.
 
+Every dual-space operator that is a sum of dense ``m_i x m_i`` blocks
+placed at the subdomains' multiplier ids — the explicit ``F`` and the
+preconditioners of :mod:`repro.feti.preconditioner` — is applied by one
+chain, :func:`apply_local_stacks`, over blocks stacked by order.
+
 This module also assembles the coarse quantities ``G = BR``, ``e = R^T f``
 and ``d = B K^+ f`` used by the projected CG.
 """
@@ -211,14 +216,48 @@ class DualOperator:
 
 
 @dataclass
-class _ExplicitGroup:
-    """One order class of the explicit path: the members' assembled
-    ``F̃_i`` stacked as ``(G, m, m)`` beside their global multiplier ids."""
+class LocalStack:
+    """One order class of dense local dual-space blocks: the members'
+    ``m x m`` blocks stacked as ``(G, m, m)`` beside their global
+    multiplier ids ``(G, m)``."""
 
     members: list[int]
-    f_stack: np.ndarray
-    ids_stack: np.ndarray
-    tier: str = "explicit"
+    blocks: np.ndarray
+    ids: np.ndarray
+    tier = "explicit"  # class constant beside the implicit groups' tiers
+
+
+def local_stack(members: list[int], blocks: list, ids: list) -> LocalStack:
+    """Stack *blocks* / *ids* of *members* (indices into both lists)."""
+    return LocalStack(
+        members=members,
+        blocks=np.stack([blocks[i] for i in members]),
+        ids=np.stack([ids[i] for i in members]),
+    )
+
+
+def stack_by_order(blocks: list, ids: list) -> list[LocalStack]:
+    """One :class:`LocalStack` per block order ``m``, in first-member order."""
+    by_order: dict[int, list[int]] = {}
+    for i, block in enumerate(blocks):
+        by_order.setdefault(block.shape[0], []).append(i)
+    return [local_stack(members, blocks, ids) for members in by_order.values()]
+
+
+def apply_local_stacks(
+    ex, stacks: list[LocalStack], panel: np.ndarray, out: np.ndarray, span: str
+) -> None:
+    """``out += sum_i P_i A_i P_i^T panel`` over dense local blocks ``A_i``
+    placed at their multiplier ids ``P_i``: panel gather → batched GEMM →
+    additive panel scatter, 3 launches per stack on *ex*."""
+    k = panel.shape[1]
+    for stack in stacks:
+        g, m = stack.ids.shape
+        with get_tracer().span(span, members=g, tier=stack.tier, m=m, k=k):
+            gathered = ex.panel_gather(panel, stack.ids)
+            contrib = np.empty((g, m, k))
+            ex.gemm(stack.blocks, gathered, contrib, beta=0.0)
+            ex.panel_scatter_add(out, stack.ids, contrib)
 
 
 @dataclass
@@ -252,9 +291,10 @@ class GroupedDualOperator:
 
     **Explicit** — every local operator is an
     :class:`ExplicitLocalOperator`: the assembled ``F̃_i`` are stacked into
-    ``(G, m, m)`` arrays, one group per dual order ``m``, and an
-    application is gather → GEMM → additive scatter, 3 launches per order
-    class.  The stack is the only resident copy of the Schur
+    ``(G, m, m)`` arrays, one :class:`LocalStack` per dual order ``m``, and
+    an application is :func:`apply_local_stacks` — gather → GEMM → additive
+    scatter, 3 launches per order class, the chain every FETI
+    preconditioner runs too.  The stack is the only resident copy of the Schur
     complements (each local operator's ``f`` is rebound to its row view).
     Dense blocks of one order always stack, so *signature* and
     *union_fill_cap* have nothing to decide here: no fingerprint, permuted
@@ -313,26 +353,14 @@ class GroupedDualOperator:
 
     # -- group construction -------------------------------------------------
 
-    def _explicit_groups(self) -> list[_ExplicitGroup]:
+    def _explicit_groups(self) -> list[LocalStack]:
         ops = self.base.locals
-        by_order: dict[int, list[int]] = {}
-        for i, op in enumerate(ops):
-            by_order.setdefault(op.f.shape[0], []).append(i)
-        groups = []
-        for members in by_order.values():
-            grp = self._explicit_group(members)
-            # Rebind to row views: the stack stays the only resident copy.
-            for row, i in enumerate(members):
-                ops[i].f = grp.f_stack[row]
-            groups.append(grp)
+        groups = stack_by_order([op.f for op in ops], self._ids)
+        # Rebind to row views: the stack stays the only resident copy.
+        for grp in groups:
+            for row, i in enumerate(grp.members):
+                ops[i].f = grp.blocks[row]
         return groups
-
-    def _explicit_group(self, members: list[int]) -> _ExplicitGroup:
-        return _ExplicitGroup(
-            members=members,
-            f_stack=np.stack([self.base.locals[i].f for i in members]),
-            ids_stack=np.stack([self._ids[i] for i in members]),
-        )
 
     def _implicit_groups(
         self, signature: str, union_fill_cap: float
@@ -428,19 +456,13 @@ class GroupedDualOperator:
 
     def _apply_groups(self, groups: list, lam: np.ndarray, ex) -> np.ndarray:
         self._check_panel(lam)
-        chain = self._explicit_chain if self.explicit else self._implicit_chain
         out = np.zeros_like(lam)
-        for grp in groups:
-            chain(ex, grp, lam, out)
+        if self.explicit:
+            apply_local_stacks(ex, groups, lam, out, "feti.apply_group")
+        else:
+            for grp in groups:
+                self._implicit_chain(ex, grp, lam, out)
         return out
-
-    def _explicit_chain(self, ex, grp: _ExplicitGroup, lam: np.ndarray, out: np.ndarray) -> None:
-        g, m, k = len(grp.members), grp.f_stack.shape[1], lam.shape[1]
-        with get_tracer().span("feti.apply_group", members=g, tier=grp.tier, m=m, k=k):
-            gathered = ex.panel_gather(lam, grp.ids_stack)
-            contrib = np.empty((g, m, k))
-            ex.gemm(grp.f_stack, gathered, contrib, beta=0.0)
-            ex.panel_scatter_add(out, grp.ids_stack, contrib)
 
     def _implicit_chain(self, ex, grp: _ApplyGroup, lam: np.ndarray, out: np.ndarray) -> None:
         g, k = len(grp.members), lam.shape[1]
@@ -470,8 +492,12 @@ class GroupedDualOperator:
         *executor* ledgers directly comparable with the grouped path.
         """
         if self._singletons is None:
-            make = self._explicit_group if self.explicit else self._exact_group
-            self._singletons = [make([i]) for i in range(len(self.base.locals))]
+            n = len(self.base.locals)
+            if self.explicit:
+                fs = [op.f for op in self.base.locals]
+                self._singletons = [local_stack([i], fs, self._ids) for i in range(n)]
+            else:
+                self._singletons = [self._exact_group([i]) for i in range(n)]
         return self._apply_groups(self._singletons, lam, executor)
 
     def recover_solution(self, lam: np.ndarray, alpha: np.ndarray) -> list[np.ndarray]:
@@ -510,6 +536,9 @@ __all__ = [
     "ExplicitLocalOperator",
     "DualOperator",
     "GroupedDualOperator",
+    "LocalStack",
+    "apply_local_stacks",
+    "stack_by_order",
     "build_dual_operator",
     "factorize_subdomain",
 ]

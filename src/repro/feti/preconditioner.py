@@ -11,18 +11,21 @@ Three standard FETI options:
   demonstrating the paper's claim that the approach generalizes to any
   ``B K^{-1} B^T``-shaped Schur complement.
 
-All preconditioners accept a dual vector ``(m,)`` or a multi-RHS panel
-``(m, k)`` — the block PCPG applies them to whole residual panels.  Two
-population-scale add-ons live here as well:
+Lumped and Dirichlet are both a sum over subdomains of one dense
+``m_i x m_i`` block placed at the subdomain's multiplier ids — ``B_i^T
+K_i B_i`` and ``B_{i,b}^T S_i B_{i,b}`` — the same shape as the explicit
+``F̃_i``.  :class:`StackedPreconditioner` is that operator: the blocks are
+built once, stacked by order ``m`` and applied by the explicit ``F``'s own
+chain (:func:`repro.feti.operator.apply_local_stacks`: gather → batched
+GEMM → scatter, 3 launches per order class); the two subclasses only
+build blocks.  Every preconditioner accepts a dual vector ``(m,)`` or a
+multi-RHS panel ``(m, k)`` — the block PCPG applies them to whole
+residual panels.
 
-* :class:`StackedPreconditioner` — the lumped application replayed through
-  the batched stacked kernels, one launch chain per pattern group instead
-  of one per subdomain (the solve-side analogue of the assembly engine's
-  grouped execution).
-* :class:`LowRankCorrection` — a Li–Xi–Saad-style low-rank correction
-  built from a truncated eigendecomposition of the preconditioned dual
-  operator restricted to ``null(G^T)``; the ``rank`` knob trades setup
-  cost (priced via the kernel cost model) against iteration count.
+:class:`LowRankCorrection` is a Li–Xi–Saad-style low-rank correction
+built from a truncated eigendecomposition of the preconditioned dual
+operator restricted to ``null(G^T)``; the ``rank`` knob trades setup cost
+(priced via the kernel cost model) against iteration count.
 
 Preconditioning quality is orthogonal to the paper's evaluation (which
 times the dual-operator assembly), but the Dirichlet variant exercises the
@@ -37,14 +40,9 @@ import numpy as np
 import scipy.linalg
 
 from repro.dd.decomposition import Decomposition
+from repro.dd.subdomain import Subdomain
+from repro.feti.operator import apply_local_stacks, stack_by_order
 from repro.util import require
-
-
-def _check_dual(w: np.ndarray, m: int) -> None:
-    require(
-        w.shape[0] == m and w.ndim in (1, 2),
-        "dual input must be (n_multipliers,) or (n_multipliers, k)",
-    )
 
 
 class IdentityPreconditioner:
@@ -54,27 +52,93 @@ class IdentityPreconditioner:
         return w
 
 
-class LumpedPreconditioner:
-    """``M^{-1} w = sum_i B_i K_i B_i^T w_i`` — the classic lumped variant."""
+class StackedPreconditioner:
+    """``M^{-1} w = sum_i P_i A_i P_i^T w`` over one dense ``m_i x m_i``
+    block ``A_i`` per subdomain, ``P_i`` placing it at the subdomain's
+    multiplier ids.
 
-    def __init__(self, decomposition: Decomposition) -> None:
+    The blocks are stacked by order ``m`` (:attr:`stacks`, the stack is
+    the only resident copy) and every application runs the explicit
+    ``F``'s gather → GEMM → scatter chain on *executor*, 3 launches per
+    order class.
+    """
+
+    def __init__(
+        self, decomposition: Decomposition, blocks: list[np.ndarray], executor=None
+    ) -> None:
+        from repro.gpu.runtime import gpu_executor
+
+        require(len(blocks) == decomposition.n_subdomains, "one block per subdomain")
         self.decomposition = decomposition
+        self.executor = executor if executor is not None else gpu_executor()
+        self.stacks = stack_by_order(
+            blocks, [sub.multiplier_ids for sub in decomposition.subdomains]
+        )
+
+    @property
+    def n_groups(self) -> int:
+        return len(self.stacks)
+
+    @property
+    def launches_per_application(self) -> int:
+        """Kernel launches one application costs (3 per order class)."""
+        return 3 * len(self.stacks)
 
     def apply(self, w: np.ndarray) -> np.ndarray:
-        dec = self.decomposition
-        _check_dual(w, dec.n_multipliers)
-        contribs = []
-        for sub, w_local in zip(dec.subdomains, dec.scatter_dual(w)):
-            contribs.append(sub.bt.T @ (sub.k @ (sub.bt @ w_local)))
-        return dec.gather_dual(contribs)
+        require(
+            w.ndim in (1, 2) and w.shape[0] == self.decomposition.n_multipliers,
+            "dual input must be (n_multipliers,) or (n_multipliers, k)",
+        )
+        panel = w if w.ndim == 2 else w[:, None]
+        out = np.zeros_like(panel)
+        apply_local_stacks(self.executor, self.stacks, panel, out, "feti.precond_group")
+        return out if w.ndim == 2 else out[:, 0]
 
 
-class DirichletPreconditioner:
+class LumpedPreconditioner(StackedPreconditioner):
+    """``M^{-1} w = sum_i B_i K_i B_i^T w_i`` — the classic lumped variant;
+    its local block is ``B_i^T K_i B_i``."""
+
+    def __init__(self, decomposition: Decomposition, executor=None) -> None:
+        blocks = []
+        for sub in decomposition.subdomains:
+            b = sub.bt.toarray()
+            blocks.append(b.T @ (sub.k @ b))
+        super().__init__(decomposition, blocks, executor)
+
+
+def interior_schur(
+    sub: Subdomain, ordering: str = "nd", engine: str = "superlu"
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(S, boundary)``: the interface DOFs (those touched by ``B_i``) and
+    the dense Schur complement ``S = K_bb - K_bi K_ii^{-1} K_ib`` of the
+    subdomain's interior onto them, through the library's own sparse
+    Cholesky + triangular solve."""
+    from repro.sparse import cholesky, solve_lower
+
+    if sub.bt is None:
+        raise ValueError("interface not built")
+    boundary = np.unique(sub.bt.tocoo().row)
+    interior = np.setdiff1d(np.arange(sub.n_dofs), boundary)
+    k = sub.k.tocsr()
+    k_bb = k[boundary][:, boundary].toarray()
+    if not (interior.size and boundary.size):
+        return k_bb, boundary
+    k_ii = k[interior][:, interior].tocsc()
+    k_ib = k[interior][:, boundary]
+    # Interior blocks of an SPSD subdomain matrix are SPD (the kernel is
+    # supported on the whole subdomain), so plain Cholesky applies — no
+    # regularization needed.
+    factor = cholesky(k_ii, ordering=ordering, coords=sub.coords[interior], engine=engine)
+    y = solve_lower(factor.l, k_ib.tocsr()[factor.perm].toarray())
+    return k_bb - y.T @ y, boundary
+
+
+class DirichletPreconditioner(StackedPreconditioner):
     """``M^{-1} w = sum_i B_i diag(0, S_i) B_i^T w_i`` with the interior
-    Schur complement ``S_i = K_bb - K_bi K_ii^{-1} K_ib``.
+    Schur complement ``S_i`` of :func:`interior_schur`; its local block is
+    ``B_{i,b}^T S_i B_{i,b}``, ``B_{i,b}`` the interface rows of ``B_i``.
 
-    Assembled once per subdomain using the library's own sparse Cholesky +
-    triangular solves (the interface DOFs are those touched by ``B_i``).
     More expensive to set up than the lumped variant, but a spectrally much
     better approximation of the inverse dual operator.
     """
@@ -84,113 +148,14 @@ class DirichletPreconditioner:
         decomposition: Decomposition,
         ordering: str = "nd",
         engine: str = "superlu",
+        executor=None,
     ) -> None:
-        from repro.sparse import cholesky, solve_lower
-
-        self.decomposition = decomposition
-        self._schur: list[np.ndarray] = []
-        self._boundary: list[np.ndarray] = []
+        blocks = []
         for sub in decomposition.subdomains:
-            if sub.bt is None:
-                raise ValueError("interface not built")
-            boundary = np.unique(sub.bt.tocoo().row)
-            interior = np.setdiff1d(np.arange(sub.n_dofs), boundary)
-            k = sub.k.tocsr()
-            k_bb = k[boundary][:, boundary].toarray()
-            if interior.size and boundary.size:
-                k_ii = k[interior][:, interior].tocsc()
-                k_ib = k[interior][:, boundary]
-                # Interior blocks of an SPSD subdomain matrix are SPD (the
-                # kernel is supported on the whole subdomain), so plain
-                # Cholesky applies — no regularization needed.
-                factor = cholesky(
-                    k_ii, ordering=ordering, coords=sub.coords[interior], engine=engine
-                )
-                y = solve_lower(factor.l, k_ib.tocsr()[factor.perm].toarray())
-                s = k_bb - y.T @ y
-            else:
-                s = k_bb
-            self._schur.append(s)
-            self._boundary.append(boundary)
-
-    def apply(self, w: np.ndarray) -> np.ndarray:
-        dec = self.decomposition
-        _check_dual(w, dec.n_multipliers)
-        contribs = []
-        for sub, s, boundary, w_local in zip(
-            dec.subdomains, self._schur, self._boundary, dec.scatter_dual(w)
-        ):
-            v = sub.bt @ w_local
-            t = np.zeros_like(v)
-            if boundary.size:
-                t[boundary] = s @ v[boundary]
-            contribs.append(sub.bt.T @ t)
-        return dec.gather_dual(contribs)
-
-
-class StackedPreconditioner:
-    """Lumped preconditioner through the batched stacked kernels.
-
-    Groups subdomains whose ``K`` and ``B^T`` stored patterns are bit-equal
-    and replays ``B K B^T`` per group as one five-launch chain — panel
-    gather, SPMM with ``B^T``, SPMM with ``K``, transposed SPMM, additive
-    panel scatter — instead of one chain per subdomain.  Numerically
-    identical to :class:`LumpedPreconditioner` up to BLAS association
-    order; members with unshared patterns simply form singleton groups.
-    """
-
-    def __init__(self, decomposition: Decomposition, executor=None) -> None:
-        from repro.gpu.runtime import gpu_executor
-        from repro.sparse.stacked import StackedCSC, plan_stacks
-        from repro.sparse.symbolic import pattern_digest
-
-        self.decomposition = decomposition
-        self.executor = executor if executor is not None else gpu_executor()
-        subs = decomposition.subdomains
-        ks = [sub.k.tocsc() for sub in subs]
-        bts = [sub.bt.tocsc() for sub in subs]
-        stacks, _ = plan_stacks(
-            [f"{pattern_digest(k)}|{pattern_digest(bt)}" for k, bt in zip(ks, bts)],
-            ks,
-            bts,
-        )
-        self.groups = [
-            (
-                StackedCSC.from_matrices([ks[i] for i in s.members]),
-                StackedCSC.from_matrices([bts[i] for i in s.members]),
-                np.stack([subs[i].multiplier_ids for i in s.members]),
-            )
-            for s in stacks
-        ]
-
-    @property
-    def n_groups(self) -> int:
-        return len(self.groups)
-
-    @property
-    def launches_per_application(self) -> int:
-        """Kernel launches one stacked application costs (5 per group)."""
-        return 5 * len(self.groups)
-
-    def apply(self, w: np.ndarray) -> np.ndarray:
-        dec = self.decomposition
-        _check_dual(w, dec.n_multipliers)
-        panel = w if w.ndim == 2 else w[:, None]
-        k = panel.shape[1]
-        ex = self.executor
-        out = np.zeros_like(panel)
-        for k_stack, bt_stack, ids_stack in self.groups:
-            g = ids_stack.shape[0]
-            n, m = bt_stack.shape
-            gathered = ex.panel_gather(panel, ids_stack)
-            t = np.zeros((g, n, k))
-            ex.spmm(bt_stack, gathered, t, beta=0.0)
-            kt = np.zeros((g, n, k))
-            ex.spmm(k_stack, t, kt, beta=0.0)
-            contrib = np.zeros((g, m, k))
-            ex.spmm(bt_stack, kt, contrib, beta=0.0, trans_a=True)
-            ex.panel_scatter_add(out, ids_stack, contrib)
-        return out if w.ndim == 2 else out[:, 0]
+            s, boundary = interior_schur(sub, ordering=ordering, engine=engine)
+            b = sub.bt.tocsr()[boundary].toarray()
+            blocks.append(b.T @ s @ b)
+        super().__init__(decomposition, blocks, executor)
 
 
 #: Relative eigenvalue cutoff for the low-rank correction's small dense
@@ -316,6 +281,7 @@ __all__ = [
     "LumpedPreconditioner",
     "DirichletPreconditioner",
     "StackedPreconditioner",
+    "interior_schur",
     "LowRankCorrection",
     "make_preconditioner",
 ]

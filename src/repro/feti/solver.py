@@ -2,7 +2,7 @@
 
 Drives one of the Table-2 dual-operator approaches over all subdomains,
 assembles the coarse problem, runs the projected CG of
-:mod:`repro.feti.block_pcpg` and recovers the primal solution.
+:mod:`repro.feti.block_cg` and recovers the primal solution.
 Simulated stage timings are aggregated so the benchmarks can reproduce the
 paper's preprocessing (Fig. 9) and amortization (Fig. 10) studies.
 """
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.dd.decomposition import Decomposition
-from repro.feti.block_pcpg import BlockPcpgResult, block_pcpg
+from repro.feti.block_cg import BlockPcpgResult, block_pcpg
 from repro.feti.dual_approaches import DualOperatorApproach, make_approach
 from repro.feti.operator import DualOperator, build_dual_operator
 from repro.feti.preconditioner import make_preconditioner
@@ -82,7 +82,7 @@ class BlockFetiSolution:
     """Primal solution panel of one block (or column-sequential) solve.
 
     ``u`` stacks one global nodal field per RHS column; ``infos`` holds
-    the single :class:`~repro.feti.block_pcpg.BlockPcpgResult` of a block
+    the single :class:`~repro.feti.block_cg.BlockPcpgResult` of a block
     solve or the k one-column results of a sequential one.  ``stats`` is
     the solve-phase counter report (:class:`repro.batch.stats.SolveStats`).
     """
@@ -286,28 +286,25 @@ class FetiSolver:
         """Population-scale solve: one decomposition, *n_rhs* load cases.
 
         With *block* (default) all columns run through one
-        :func:`~repro.feti.block_pcpg.block_pcpg`; otherwise each column
+        :func:`~repro.feti.block_cg.block_pcpg`; otherwise each column
         is its own one-column panel through the same solver (the
         comparator).  With *grouped* the per-iteration operator
         applications run batched through a
         :class:`~repro.feti.operator.GroupedDualOperator` — the
         GEMM chain over the assembled Schur complements when the approach
         is explicit, the TRSM chain over the factors (tier picked by
-        *signature*) when it is implicit — and the lumped preconditioner through
-        :class:`~repro.feti.preconditioner.StackedPreconditioner`; the
-        returned :class:`~repro.batch.stats.SolveStats` reports the launch
-        accounting either way.  *lowrank_rank* > 0 wraps the
-        preconditioner in a
+        *signature*) when it is implicit — on the preconditioner's
+        executor, so the returned :class:`~repro.batch.stats.SolveStats`
+        prices both.  The lumped and Dirichlet preconditioners always run
+        the explicit ``F``'s GEMM chain over their stacked local blocks
+        (:class:`~repro.feti.preconditioner.StackedPreconditioner`).
+        *lowrank_rank* > 0 wraps the preconditioner in a
         :class:`~repro.feti.preconditioner.LowRankCorrection` of that rank.
         """
         from repro.batch.engine import BatchAssembler
         from repro.batch.stats import SolveStats
         from repro.feti.operator import GroupedDualOperator
-        from repro.feti.preconditioner import (
-            LowRankCorrection,
-            LumpedPreconditioner,
-            StackedPreconditioner,
-        )
+        from repro.feti.preconditioner import LowRankCorrection
 
         if self.operator is None:
             self.preprocess()
@@ -326,14 +323,17 @@ class FetiSolver:
         self.timings.n_rhs = n_rhs
         d_panel, e_panel = self._dual_panels(load_panels)
 
-        gop = GroupedDualOperator(op, signature=signature) if grouped else None
-        apply_panel = gop.apply_panel if gop is not None else op.apply
         precond = self.preconditioner
-        if grouped and isinstance(precond, LumpedPreconditioner):
-            precond = StackedPreconditioner(
-                self.decomposition,
-                executor=gop.executor if gop is not None else None,
+        # F charges the preconditioner's executor (a fresh one if it has
+        # none), so the elapsed delta below covers both applications.
+        gop = (
+            GroupedDualOperator(
+                op, executor=getattr(precond, "executor", None), signature=signature
             )
+            if grouped
+            else None
+        )
+        apply_panel = gop.apply_panel if gop is not None else op.apply
         if lowrank_rank > 0:
             precond = LowRankCorrection(
                 precond,

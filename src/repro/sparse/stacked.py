@@ -230,8 +230,8 @@ def plan_stacks(
     stack_exact=lambda key, members: True,
 ) -> tuple[list[Stack], dict[str, float]]:
     """Decide which members share a stack — the one grouping policy behind
-    the batch engine's ``execution=`` modes, the grouped dual operator and
-    the stacked preconditioner.
+    the batch engine's ``execution=`` modes and the grouped dual operator's
+    implicit path.
 
     A class (members of one *class_keys* value; ``None`` = no class) that
     spans at least two exact keys pads into its

@@ -1,7 +1,7 @@
 """Reference oracle: the classic single-RHS PCPG recurrence (Farhat–Roux).
 
 The library solves every dual system with the projected block CG of
-:func:`repro.feti.block_pcpg.block_pcpg`; this textbook scalar iteration
+:func:`repro.feti.block_cg.block_pcpg`; this textbook scalar iteration
 is kept beside the tests only, to check that a one-column panel of the
 block method is the same solve.
 """

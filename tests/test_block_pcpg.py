@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.feti.block_pcpg import RANK_CUTOFF, BlockPcpgResult, block_pcpg, orth
+from repro.feti.block_cg import RANK_CUTOFF, BlockPcpgResult, block_pcpg, orth
 from repro.feti.projector import CoarseProblem
 from tests.scalar_pcpg import scalar_pcpg
 
@@ -501,37 +501,46 @@ def test_block_pcpg_records_convergence_metrics():
     assert decay.percentile(50) < 1.0
 
 
-class _DenseLocalLumped:
-    """The lumped preconditioner built from dense local ``B_i K_i B_i^T``
-    blocks: equal to :class:`LumpedPreconditioner` up to 1e-16 relative
-    rounding, applied in a different summation order."""
+def test_solver_module_imports_as_a_module(monkeypatch):
+    """The package re-exports the solver function ``repro.feti.block_pcpg``;
+    its module is ``repro.feti.block_cg`` and is not shadowed by it, so
+    ``import ... as m`` yields the module and patching ``m.orth`` reaches
+    the solver."""
+    import types
 
-    def __init__(self, dec):
-        self.dec = dec
-        self.blocks = [(sub.bt.T @ (sub.k @ sub.bt)).toarray() for sub in dec.subdomains]
+    import repro.feti
+    import repro.feti.block_cg as module
 
-    def apply(self, w):
-        out = np.zeros_like(w)
-        for sub, block in zip(self.dec.subdomains, self.blocks):
-            out[sub.multiplier_ids] += block @ w[sub.multiplier_ids]
-        return out
+    assert isinstance(module, types.ModuleType)
+    assert repro.feti.block_pcpg is module.block_pcpg is block_pcpg
+    calls = []
+    real_orth = module.orth
+    monkeypatch.setattr(module, "orth", lambda x: calls.append(x.shape) or real_orth(x))
+    f, g, rng = _dual_system(10, 1, seed=5)
+    res = repro.feti.block_pcpg(
+        lambda x: f @ x, rng.standard_normal((10, 2)), g, rng.standard_normal((1, 2))
+    )
+    assert res.converged and calls
 
 
 def test_block_solve_iterations_survive_preconditioner_rounding():
     """The benchmark's block solve (6x6, 72 cells, 4 RHS) converges in at
-    most 33 iterations on seeds 0-3, and a preconditioner that differs only
-    by rounding keeps seed 1 there (the replaced recurrence went 35 -> 177)."""
+    most 33 iterations on seeds 0-10, and the lumped preconditioner applied
+    in another summation order (the per-subdomain sparse loop instead of
+    the stacked dense blocks, equal up to rounding) keeps seed 1 there (the
+    replaced recurrence went 35 -> 177)."""
     from repro.dd import decompose
     from repro.fem import heat_transfer_2d
     from repro.feti.solver import FetiSolver
+    from tests.loop_preconditioners import LoopLumped
 
     dec = decompose(heat_transfer_2d(72, dirichlet=("left", "right")), grid=(6, 6))
     solver = FetiSolver(dec, approach="expl_gpu_opt")
     solver.preprocess()
-    for seed in range(4):
+    for seed in range(11):
         sol = solver.solve_block(n_rhs=4, block=True, seed=seed)
         assert sol.converged and sol.iterations <= 33, (seed, sol.iterations)
-    solver.preconditioner = _DenseLocalLumped(dec)
+    solver.preconditioner = LoopLumped(dec)
     sol = solver.solve_block(n_rhs=4, block=True, seed=1)
     assert sol.converged and sol.iterations <= 35
 

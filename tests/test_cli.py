@@ -66,6 +66,31 @@ def test_cli_run_saves_results(tmp_path, capsys):
     assert (tmp_path / "fig05.txt").exists()
 
 
+@pytest.mark.parametrize("flag", [[], ["--paper-scale"]])
+def test_cli_run_passes_paper_scale_to_the_driver(flag, tmp_path, monkeypatch):
+    """``--paper-scale`` reaches the experiment driver as ``paper_scale=True``
+    (the size ladders), not only as ``quick=False``."""
+    import repro.bench
+
+    seen = {}
+
+    class _Result:
+        def render(self):
+            return "fake"
+
+        def save(self, out):
+            return out
+
+    def fake_run_experiment(name, **kwargs):
+        seen.update(kwargs, name=name)
+        return _Result()
+
+    monkeypatch.setattr(repro.bench, "run_experiment", fake_run_experiment)
+    assert main(["run", "fig06", "--out", str(tmp_path), *flag]) == 0
+    paper = bool(flag)
+    assert seen == {"name": "fig06", "quick": not paper, "paper_scale": paper}
+
+
 def test_cli_batch(capsys):
     rc = main(["batch", "--dim", "2", "--cells", "12", "--grid", "2x2"])
     assert rc == 0

@@ -525,22 +525,27 @@ def test_grouped_dual_operator_vector_apply_and_recover():
 
 
 def test_stacked_preconditioner_matches_lumped():
-    """The stacked (grouped) lumped preconditioner is allclose to the
-    per-subdomain LumpedPreconditioner on vectors and panels, and launches
-    once per pattern group per kernel stage."""
+    """The lumped preconditioner — a stack of dense local ``B_i^T K_i B_i``
+    blocks — is allclose to the per-subdomain sparse loop on vectors and
+    panels, and launches once per order class per kernel stage of the
+    gather → GEMM → scatter chain."""
     from repro.feti.preconditioner import LumpedPreconditioner, StackedPreconditioner
+    from tests.loop_preconditioners import LoopLumped
 
     solver = _feti_operator()
     dec = solver.decomposition
-    lump = LumpedPreconditioner(dec)
-    stacked = StackedPreconditioner(dec)
+    loop = LoopLumped(dec)
+    ex = Executor(A100_40GB)
+    stacked = LumpedPreconditioner(dec, executor=ex)
+    assert isinstance(stacked, StackedPreconditioner)
     assert 1 <= stacked.n_groups < dec.n_subdomains
-    assert stacked.launches_per_application == 5 * stacked.n_groups
+    assert stacked.launches_per_application == 3 * stacked.n_groups
     rng = np.random.default_rng(2)
     w = rng.standard_normal((dec.n_multipliers, 3))
-    ref = np.stack([lump.apply(w[:, j]) for j in range(3)], axis=1)
+    ref = np.stack([loop.apply(w[:, j]) for j in range(3)], axis=1)
     scale = max(1.0, float(np.abs(ref).max()))
     assert np.allclose(stacked.apply(w), ref, rtol=RTOL, atol=ATOL * scale)
+    assert ex.ledger.total.launches == stacked.launches_per_application
     assert np.allclose(
         stacked.apply(w[:, 0]), ref[:, 0], rtol=RTOL, atol=ATOL * scale
     )
@@ -632,15 +637,15 @@ def test_explicit_grouped_operator_applies_the_assembled_schur_complements(case)
 
     ex_gr, ex_pm = Executor(A100_40GB), Executor(A100_40GB)
     gop = GroupedDualOperator(op, executor=ex_gr)
-    assert sorted(g.f_stack.shape[1] for g in gop.groups) == sorted(set(orders))
+    assert sorted(g.blocks.shape[1] for g in gop.groups) == sorted(set(orders))
     assert sorted(i for g in gop.groups for i in g.members) == list(range(len(orders)))
     if case == "jittered":  # members of unequal order: 9, 9, 9, 10, 16, 16, 19
         sizes = sorted(len(g.members) for g in gop.groups)
         assert sizes[0] == 1 and sizes[-1] > 1
     for grp in gop.groups:
         for row, i in enumerate(grp.members):
-            assert np.shares_memory(op.locals[i].f, grp.f_stack)
-            assert np.array_equal(op.locals[i].f, grp.f_stack[row])
+            assert np.shares_memory(op.locals[i].f, grp.blocks)
+            assert np.array_equal(op.locals[i].f, grp.blocks[row])
 
     scale = max(1.0, float(np.abs(want).max()))
     for k in (4, 1, 2):  # a full panel, a vector, a deflated panel
@@ -701,14 +706,18 @@ def test_implicit_and_explicit_operators_report_their_own_chain():
 
 def test_executed_stacks_cannot_be_empty_outside_the_assembler():
     """A zero-member stack prices a dry run, which only ``SchurAssembler``
-    starts: the packers the grouped operator and the stacked preconditioner
+    starts: the packers the grouped operator and the stacked preconditioners
     build their kernel operands with reject an empty group."""
-    from repro.feti.operator import GroupedDualOperator
+    from repro.feti.operator import GroupedDualOperator, local_stack
 
     with pytest.raises(ValueError):
-        StackedCSC.from_matrices([])  # StackedPreconditioner / exact groups
-    for approach, packer in (("impl_mkl", "_exact_group"), ("expl_gpu_opt", "_explicit_group")):
+        StackedCSC.from_matrices([])  # implicit exact groups
+    for approach, packer in (
+        ("impl_mkl", lambda gop: gop._exact_group([])),
+        # the explicit F's and every preconditioner's dense local stacks
+        ("expl_gpu_opt", lambda gop: local_stack([], [], [])),
+    ):
         gop = GroupedDualOperator(_feti_operator(approach=approach).operator)
         assert all(len(grp.members) >= 1 for grp in gop.groups)
         with pytest.raises(ValueError):
-            getattr(gop, packer)([])
+            packer(gop)

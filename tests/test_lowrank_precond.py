@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.feti.block_pcpg import block_pcpg
+from repro.feti.block_cg import block_pcpg
 from repro.feti.preconditioner import (
     IdentityPreconditioner,
     LowRankCorrection,

@@ -553,7 +553,7 @@ def test_pcpg_iteration_spans():
     f = a @ a.T + 12.0 * np.eye(12)
     g = rng.standard_normal((12, 2))
     with tracing() as tr:
-        from repro.feti.block_pcpg import block_pcpg
+        from repro.feti.block_cg import block_pcpg
 
         res = block_pcpg(
             lambda x: f @ x,

@@ -1,5 +1,5 @@
 """The one stack planner (:func:`repro.sparse.stacked.plan_stacks`) and the
-partitions it hands its three callers.
+partitions it hands its callers.
 
 The property test drives the planner alone — ``union_plan`` is replaced by
 a stub whose fill ratio the test chooses, so the cap boundary is exact.
