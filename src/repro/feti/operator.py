@@ -224,7 +224,9 @@ class LocalStack:
     members: list[int]
     blocks: np.ndarray
     ids: np.ndarray
-    tier = "explicit"  # class constant beside the implicit groups' tiers
+    #: The grouped ``F``'s tier label for its explicit groups, beside the
+    #: implicit groups' ``"exact"`` / ``"union"``.
+    tier = "explicit"
 
 
 def local_stack(members: list[int], blocks: list, ids: list) -> LocalStack:
@@ -245,15 +247,16 @@ def stack_by_order(blocks: list, ids: list) -> list[LocalStack]:
 
 
 def apply_local_stacks(
-    ex, stacks: list[LocalStack], panel: np.ndarray, out: np.ndarray, span: str
+    ex, stacks: list[LocalStack], panel: np.ndarray, out: np.ndarray, span: str, **attrs
 ) -> None:
     """``out += sum_i P_i A_i P_i^T panel`` over dense local blocks ``A_i``
     placed at their multiplier ids ``P_i``: panel gather → batched GEMM →
-    additive panel scatter, 3 launches per stack on *ex*."""
+    additive panel scatter, 3 launches per stack on *ex*, each under a
+    *span* carrying *attrs*."""
     k = panel.shape[1]
     for stack in stacks:
         g, m = stack.ids.shape
-        with get_tracer().span(span, members=g, tier=stack.tier, m=m, k=k):
+        with get_tracer().span(span, members=g, m=m, k=k, **attrs):
             gathered = ex.panel_gather(panel, stack.ids)
             contrib = np.empty((g, m, k))
             ex.gemm(stack.blocks, gathered, contrib, beta=0.0)
@@ -458,7 +461,7 @@ class GroupedDualOperator:
         self._check_panel(lam)
         out = np.zeros_like(lam)
         if self.explicit:
-            apply_local_stacks(ex, groups, lam, out, "feti.apply_group")
+            apply_local_stacks(ex, groups, lam, out, "feti.apply_group", tier=LocalStack.tier)
         else:
             for grp in groups:
                 self._implicit_chain(ex, grp, lam, out)

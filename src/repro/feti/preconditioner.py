@@ -59,18 +59,16 @@ class StackedPreconditioner:
 
     The blocks are stacked by order ``m`` (:attr:`stacks`, the stack is
     the only resident copy) and every application runs the explicit
-    ``F``'s gather → GEMM → scatter chain on *executor*, 3 launches per
-    order class.
+    ``F``'s gather → GEMM → scatter chain on the preconditioner's own
+    :attr:`executor`, 3 launches per order class.
     """
 
-    def __init__(
-        self, decomposition: Decomposition, blocks: list[np.ndarray], executor=None
-    ) -> None:
+    def __init__(self, decomposition: Decomposition, blocks: list[np.ndarray]) -> None:
         from repro.gpu.runtime import gpu_executor
 
         require(len(blocks) == decomposition.n_subdomains, "one block per subdomain")
         self.decomposition = decomposition
-        self.executor = executor if executor is not None else gpu_executor()
+        self.executor = gpu_executor()
         self.stacks = stack_by_order(
             blocks, [sub.multiplier_ids for sub in decomposition.subdomains]
         )
@@ -99,12 +97,9 @@ class LumpedPreconditioner(StackedPreconditioner):
     """``M^{-1} w = sum_i B_i K_i B_i^T w_i`` — the classic lumped variant;
     its local block is ``B_i^T K_i B_i``."""
 
-    def __init__(self, decomposition: Decomposition, executor=None) -> None:
-        blocks = []
-        for sub in decomposition.subdomains:
-            b = sub.bt.toarray()
-            blocks.append(b.T @ (sub.k @ b))
-        super().__init__(decomposition, blocks, executor)
+    def __init__(self, decomposition: Decomposition) -> None:
+        blocks = [(sub.bt.T @ sub.k @ sub.bt).toarray() for sub in decomposition.subdomains]
+        super().__init__(decomposition, blocks)
 
 
 def interior_schur(
@@ -144,18 +139,14 @@ class DirichletPreconditioner(StackedPreconditioner):
     """
 
     def __init__(
-        self,
-        decomposition: Decomposition,
-        ordering: str = "nd",
-        engine: str = "superlu",
-        executor=None,
+        self, decomposition: Decomposition, ordering: str = "nd", engine: str = "superlu"
     ) -> None:
         blocks = []
         for sub in decomposition.subdomains:
             s, boundary = interior_schur(sub, ordering=ordering, engine=engine)
             b = sub.bt.tocsr()[boundary].toarray()
             blocks.append(b.T @ s @ b)
-        super().__init__(decomposition, blocks, executor)
+        super().__init__(decomposition, blocks)
 
 
 #: Relative eigenvalue cutoff for the low-rank correction's small dense

@@ -95,7 +95,6 @@ def test_stacked_blocks_match_the_sparse_loops(case):
     """Lumped and Dirichlet applied as stacked dense local blocks agree with
     the per-subdomain sparse loops to 1e-12 relative, on vectors, panels and
     one-column panels, at 3 launches per order class."""
-    from repro.gpu import A100_40GB, Executor
     from tests.loop_preconditioners import LoopDirichlet, LoopLumped
 
     dec = _oracle_case(case)
@@ -105,8 +104,7 @@ def test_stacked_blocks_match_the_sparse_loops(case):
         (LumpedPreconditioner, LoopLumped),
         (DirichletPreconditioner, LoopDirichlet),
     ):
-        ex = Executor(A100_40GB)
-        pc, loop = stacked_cls(dec, executor=ex), loop_cls(dec)
+        pc, loop = stacked_cls(dec), loop_cls(dec)
         ref = loop.apply(w)
         scale = float(np.abs(ref).max())
         for got, want in (
@@ -116,7 +114,7 @@ def test_stacked_blocks_match_the_sparse_loops(case):
         ):
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-12 * scale, (stacked_cls, case)
-        assert ex.ledger.total.launches == 3 * pc.launches_per_application
+        assert pc.executor.ledger.total.launches == 3 * pc.launches_per_application
         orders = {sub.multiplier_ids.size for sub in dec.subdomains}
         assert pc.launches_per_application == 3 * len(orders)
 
