@@ -130,37 +130,22 @@ def test_block_solve_launch_reduction_and_parity(benchmark):
     )
 
 
-def test_block_deflation_and_lowrank_knob(benchmark):
-    """The deflation bookkeeping and the low-rank rank knob stay live at
-    benchmark scale: all columns deflate by convergence, and the rank-8
-    corrected solve reaches the same panel within an iteration of the
-    uncorrected one."""
+def test_block_deflation(benchmark):
+    """The deflation bookkeeping stays live at benchmark scale: every
+    column of the block solve deflates by convergence."""
     dec = _structured_case()
 
     def run():
         from repro.feti import FetiSolver
 
-        plain = FetiSolver(
+        return FetiSolver(
             dec, approach="impl_mkl", preconditioner="lumped"
-        ).solve_block(n_rhs=N_RHS, block=True, grouped=True, lowrank_rank=0, seed=0)
-        corrected = FetiSolver(
-            dec, approach="impl_mkl", preconditioner="lumped"
-        ).solve_block(n_rhs=N_RHS, block=True, grouped=True, lowrank_rank=8, seed=0)
-        return plain, corrected
+        ).solve_block(n_rhs=N_RHS, block=True, grouped=True, seed=0)
 
-    plain, corrected = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert plain.converged and corrected.converged
+    plain = benchmark.pedantic(run, rounds=1, iterations=1)
+    assert plain.converged
     assert np.all(plain.infos[0].deflated_at >= 0)
-    assert corrected.iterations <= plain.iterations + 1
-    scale = max(1.0, float(np.abs(plain.u).max()))
-    assert np.allclose(corrected.u, plain.u, rtol=1e-8, atol=1e-9 * scale)
 
     benchmark.extra_info["solve_n_deflated"] = plain.stats.n_deflated
-    benchmark.extra_info["solve_lowrank_iteration_gap"] = (
-        corrected.iterations - plain.iterations
-    )
     print()
-    print(
-        f"deflated columns: {plain.stats.n_deflated}/{N_RHS} | "
-        f"low-rank(8) iterations {corrected.iterations} vs {plain.iterations}"
-    )
+    print(f"deflated columns: {plain.stats.n_deflated}/{N_RHS}")

@@ -11,9 +11,8 @@ Commands
     ``--rhs K`` solves a panel of K load cases; ``--block`` runs them
     through one block solve with the grouped (one-launch-per-pattern-class)
     dual operator and stacked preconditioner, ``--sequential`` solves the
-    columns one by one with the same solver (the comparator), and
-    ``--lowrank-rank R`` adds a rank-R Li–Xi–Saad low-rank correction to
-    the preconditioner (``docs/solving.md``).
+    columns one by one with the same solver (the comparator; see
+    ``docs/solving.md``).
 ``batch [--dim {2,3}] [--cells N] [--grid PxP..] [--device {gpu,cpu}]``
     Batch-assemble all subdomains of a decomposition through the symbolic
     pattern cache (``repro.batch``) and report cache/throughput statistics
@@ -106,11 +105,7 @@ def _cmd_solve(args) -> int:
     )
     solver.preprocess()
     if args.rhs > 1 or args.block:
-        sol = solver.solve_block(
-            n_rhs=args.rhs,
-            block=not args.sequential,
-            lowrank_rank=args.lowrank_rank,
-        )
+        sol = solver.solve_block(n_rhs=args.rhs, block=not args.sequential)
         # column 0 of the panel is the problem's own load, so it must
         # reproduce the single-RHS answer
         err = float(np.abs(sol.u[:, 0] - problem.solve_direct()).max())
@@ -506,14 +501,6 @@ def main(argv: list[str] | None = None) -> int:
         "--sequential",
         action="store_true",
         help="solve the panel column by column, one-column panels (comparator)",
-    )
-    p_solve.add_argument(
-        "--lowrank-rank",
-        type=int,
-        default=0,
-        metavar="R",
-        help="rank of the Li-Xi-Saad low-rank preconditioner correction "
-        "(0 = off, the default)",
     )
 
     p_batch = sub.add_parser(

@@ -41,7 +41,6 @@ from repro.batch.fingerprint import (
     near_fingerprint,
     pattern_digest,
     rotation_fingerprint,
-    subdomain_fingerprint,
     union_fingerprint,
 )
 from repro.batch.stats import BatchStats, SolveStats
@@ -63,7 +62,6 @@ __all__ = [
     "Fingerprint",
     "SIGNATURE_MODES",
     "pattern_digest",
-    "subdomain_fingerprint",
     "factor_fingerprint",
     "geometric_fingerprint",
     "geometric_fingerprint_for",

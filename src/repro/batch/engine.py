@@ -13,7 +13,7 @@ and then:
 * prices every member from the cached estimate into a
   :class:`~repro.runtime.pipeline.SubdomainWork` list that feeds the
   existing ``sep``/``mix`` multi-stream scheduler of
-  :mod:`repro.runtime.pipeline` / :mod:`repro.runtime.node`.
+  :mod:`repro.runtime.pipeline`.
 
 The simulated win is the host-side symbolic analysis: charged once per
 distinct pattern instead of once per subdomain (CHOLMOD-style supernodal
@@ -789,7 +789,6 @@ class BatchAssembler:
 def items_from_decomposition(
     decomposition,
     ordering: str = "nd",
-    engine: str = "superlu",
     conform: bool = True,
     canonicalize: bool = True,
     tolerance: float | None = None,
@@ -844,7 +843,6 @@ def items_from_decomposition(
                 factor = factorize_subdomain(
                     sub,
                     ordering=ordering,
-                    engine=engine,
                     conform=conform,
                     relabeling=rel,
                     reuse=reuse,

@@ -10,13 +10,8 @@ per *group* instead of once per subdomain, the same way the paper's
 three-stage solver performs symbolic analysis once and reuses it across
 repeated numeric factorizations (§2.2).
 
-Three granularities:
+Two granularities:
 
-* :func:`subdomain_fingerprint` — from the regularized stiffness pattern,
-  the gluing pattern, and the ordering *name* (cheap, available before any
-  factorization).  Pass ``coords`` to mix in the canonical-frame digest —
-  the geometry-aware variant that guards against pattern collisions between
-  geometrically different subdomains.
 * :func:`factor_fingerprint` — from the *stored* pattern of the numeric
   factor ``L``, the permuted gluing pattern, and the gluing shape.  This is
   the exact key: equal fingerprints guarantee that every cached pattern
@@ -32,8 +27,8 @@ Three granularities:
 
 Exact sharing *across* mirror classes is the job of
 :class:`repro.sparse.canonical.CanonicalRelabeling`: passed to
-:func:`subdomain_fingerprint` / :func:`factor_fingerprint`, the patterns
-are relabeled into the canonical orientation frame before hashing, so the
+:func:`factor_fingerprint`, the gluing columns are put in canonical order
+before hashing (the factor itself is built in the canonical frame), so the
 emitted key is the *canonical-class* key — mirror-identical subdomains
 collide on purpose, and the per-member relabeling is the invertible map
 that makes their cached artifacts transfer exactly (``docs/batching.md``
@@ -53,7 +48,6 @@ from repro.sparse.canonical import (
     DEFAULT_NEAR_SIZE_TOLERANCE,
     DEFAULT_TOLERANCE,
     canonical_signature,
-    frame_digest,
     near_signature,
     rotation_signature,
 )
@@ -93,63 +87,6 @@ def _update_pattern(h, a: sp.spmatrix) -> int:
     _update(h, ac.indptr)
     _update(h, ac.indices)
     return int(ac.nnz)
-
-
-def subdomain_fingerprint(
-    k: sp.spmatrix,
-    bt: sp.spmatrix,
-    ordering: str = "nd",
-    extra: str = "",
-    coords: np.ndarray | None = None,
-    tolerance: float = DEFAULT_TOLERANCE,
-    relabeling=None,
-) -> Fingerprint:
-    """Fingerprint a subdomain before factorization.
-
-    Hashes the pattern of the (regularized) stiffness *k*, the pattern of
-    the transposed gluing *bt*, and the fill-reducing *ordering* choice.
-    Subdomains sharing this fingerprint produce identically-structured
-    factors whenever the ordering is computed deterministically from the
-    pattern (natural/RCM/AMD) or shared explicitly across the group.
-
-    With *coords*, the digest of the canonical local frame
-    (:func:`repro.sparse.canonical.frame_digest`) is mixed in — the
-    geometry-aware variant.  The frame digest is translation-invariant, so
-    translate-identical subdomains still collapse, while subdomains whose
-    patterns coincide by accident but whose geometry differs (and whose
-    geometric ND permutations could therefore differ) stay apart.
-
-    With *relabeling* (a :class:`~repro.sparse.canonical.CanonicalRelabeling`)
-    the key becomes the **canonical-class** key: *k* and *bt* are relabeled
-    into the canonical orientation frame before hashing and the relabeling's
-    signature is mixed in, so mirror-identical subdomains — whose raw
-    patterns differ — fingerprint together, which is exactly when their
-    relabeled artifacts are interchangeable.
-    """
-    require(sp.issparse(k) and sp.issparse(bt), "k and bt must be sparse")
-    require(k.shape[0] == bt.shape[0], "k and bt row counts differ")
-    if relabeling is not None:
-        k = relabeling.apply_matrix(k)
-        bt = relabeling.apply_bt(bt)
-    h = hashlib.sha256()
-    nnz = _update_pattern(h, k)
-    _update_pattern(h, bt)
-    h.update(ordering.encode())
-    h.update(b"|")
-    if relabeling is not None:
-        h.update(relabeling.signature.encode())
-        h.update(b"|")
-    if coords is not None and relabeling is None:
-        # The relabeling signature already fixes the geometry; the raw frame
-        # digest is only translation-invariant and would split mirror classes.
-        require(
-            np.asarray(coords).shape[0] == k.shape[0],
-            "coords must have one row per DOF",
-        )
-        h.update(frame_digest(coords, tolerance).encode())
-        h.update(b"|")
-    h.update(extra.encode())
-    return Fingerprint(key=h.hexdigest(), n=k.shape[0], m=bt.shape[1], nnz=nnz)
 
 
 def factor_fingerprint(
@@ -386,7 +323,6 @@ __all__ = [
     "Fingerprint",
     "SIGNATURE_MODES",
     "pattern_digest",
-    "subdomain_fingerprint",
     "factor_fingerprint",
     "geometric_fingerprint",
     "geometric_fingerprint_for",

@@ -4,8 +4,7 @@ The batch engine reports three things the per-subdomain code path cannot:
 how much of the population shared a pattern (cache hit rate), how much
 simulated preprocessing time the sharing saved (symbolic analysis charged
 once per group instead of once per subdomain), and the resulting
-throughput.  :class:`BatchStats` carries the counters; :meth:`BatchStats.merge`
-lets long-running services aggregate across many batches.
+throughput.  :class:`BatchStats` carries the counters.
 """
 
 from __future__ import annotations
@@ -47,8 +46,8 @@ class BatchStats:
     ``n_union_groups`` near classes executed padded with ``n_union_members``
     members total, ``n_union_skipped`` classes that tripped the fill-cap
     guard, and ``union_padded_nnz``/``union_member_nnz`` the padded vs exact
-    stored entries of the executed classes (additive across merges; their
-    ratio is :attr:`union_fill_ratio`).  ``n_degraded`` counts batches whose
+    stored entries of the executed classes (their ratio is
+    :attr:`union_fill_ratio`).  ``n_degraded`` counts batches whose
     grouped execution silently degraded to all-singleton groups — the case
     the union tier exists for.
 
@@ -147,49 +146,6 @@ class BatchStats:
         denom = makespan if makespan is not None else self.preprocessing_seconds
         return self.n_subdomains / denom if denom > 0 else 0.0
 
-    def merge(self, other: "BatchStats") -> "BatchStats":
-        """Combine two batches' statistics (counters and times add)."""
-
-        def merge_dicts(a: dict, b: dict) -> dict:
-            out = dict(a)
-            for k, v in b.items():
-                out[k] = out.get(k, 0) + v
-            return out
-
-        return BatchStats(
-            n_subdomains=self.n_subdomains + other.n_subdomains,
-            n_groups=self.n_groups + other.n_groups,
-            n_exact_groups=self.n_exact_groups + other.n_exact_groups,
-            n_geometric_groups=self.n_geometric_groups + other.n_geometric_groups,
-            n_singleton_groups=self.n_singleton_groups + other.n_singleton_groups,
-            hits=self.hits + other.hits,
-            misses=self.misses + other.misses,
-            evictions=self.evictions + other.evictions,
-            analysis_seconds=self.analysis_seconds + other.analysis_seconds,
-            analysis_seconds_saved=self.analysis_seconds_saved + other.analysis_seconds_saved,
-            factorization_seconds=self.factorization_seconds + other.factorization_seconds,
-            assembly_seconds=self.assembly_seconds + other.assembly_seconds,
-            wall_seconds=self.wall_seconds + other.wall_seconds,
-            execution=self.execution if self.execution == other.execution else "mixed",
-            n_grouped=self.n_grouped + other.n_grouped,
-            kernel_launches=self.kernel_launches + other.kernel_launches,
-            execute_seconds=self.execute_seconds + other.execute_seconds,
-            group_execute_seconds=merge_dicts(
-                self.group_execute_seconds, other.group_execute_seconds
-            ),
-            group_launches=merge_dicts(self.group_launches, other.group_launches),
-            n_union_groups=self.n_union_groups + other.n_union_groups,
-            n_union_members=self.n_union_members + other.n_union_members,
-            n_union_skipped=self.n_union_skipped + other.n_union_skipped,
-            union_padded_nnz=self.union_padded_nnz + other.union_padded_nnz,
-            union_member_nnz=self.union_member_nnz + other.union_member_nnz,
-            n_degraded=self.n_degraded + other.n_degraded,
-            store_hits=self.store_hits + other.store_hits,
-            store_misses=self.store_misses + other.store_misses,
-            n_quarantined=self.n_quarantined + other.n_quarantined,
-            n_exec_fallbacks=self.n_exec_fallbacks + other.n_exec_fallbacks,
-        )
-
     def summary(self) -> str:
         """Human-readable multi-line report."""
         geo = (
@@ -287,7 +243,6 @@ class SolveStats:
     launches_sequential_per_iteration: int = 0
     apply_seconds: float = 0.0
     apply_seconds_per_iteration: float = 0.0
-    lowrank_rank: int = 0
     application: str = ""
 
     @property
@@ -298,27 +253,6 @@ class SolveStats:
             self.launches_sequential_per_iteration / self.launches_per_iteration
             if self.launches_per_iteration
             else 0.0
-        )
-
-    def merge(self, other: "SolveStats") -> "SolveStats":
-        """Combine two solves' statistics (counters and times add)."""
-        return SolveStats(
-            n_rhs=self.n_rhs + other.n_rhs,
-            n_subdomains=self.n_subdomains + other.n_subdomains,
-            n_groups=self.n_groups + other.n_groups,
-            iterations=self.iterations + other.iterations,
-            n_deflated=self.n_deflated + other.n_deflated,
-            launches_per_iteration=self.launches_per_iteration
-            + other.launches_per_iteration,
-            launches_sequential_per_iteration=self.launches_sequential_per_iteration
-            + other.launches_sequential_per_iteration,
-            apply_seconds=self.apply_seconds + other.apply_seconds,
-            apply_seconds_per_iteration=self.apply_seconds_per_iteration
-            + other.apply_seconds_per_iteration,
-            lowrank_rank=max(self.lowrank_rank, other.lowrank_rank),
-            application=self.application
-            if self.application == other.application
-            else "mixed",
         )
 
     def summary(self) -> str:
@@ -335,8 +269,6 @@ class SolveStats:
             f"apply:             {self.apply_seconds * 1e3:.3f} ms simulated "
             f"({self.apply_seconds_per_iteration * 1e3:.3f} ms per iteration)",
         ]
-        if self.lowrank_rank:
-            lines.append(f"low-rank:          rank-{self.lowrank_rank} coarse correction")
         return "\n".join(lines)
 
 

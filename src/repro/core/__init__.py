@@ -39,16 +39,6 @@ from repro.core.trsm_split import (
     trsm_orig,
     trsm_rhs_split,
 )
-from repro.core.tuning import (
-    CrossoverPoint,
-    SweepPoint,
-    best_point,
-    measure_dense_crossover,
-    pick_dense_cutoff,
-    sweep_block_parameter,
-    tune_block_parameter,
-    tune_dense_cutoff,
-)
 
 __all__ = [
     "SchurAssembler",
@@ -80,12 +70,4 @@ __all__ = [
     "syrk_orig",
     "syrk_input_split",
     "syrk_output_split",
-    "SweepPoint",
-    "sweep_block_parameter",
-    "best_point",
-    "tune_block_parameter",
-    "CrossoverPoint",
-    "measure_dense_crossover",
-    "pick_dense_cutoff",
-    "tune_dense_cutoff",
 ]

@@ -34,7 +34,6 @@ from repro.feti.planner import (
 from repro.feti.preconditioner import (
     DirichletPreconditioner,
     IdentityPreconditioner,
-    LowRankCorrection,
     LumpedPreconditioner,
     StackedPreconditioner,
     make_preconditioner,
@@ -78,7 +77,6 @@ __all__ = [
     "LumpedPreconditioner",
     "DirichletPreconditioner",
     "StackedPreconditioner",
-    "LowRankCorrection",
     "make_preconditioner",
     "Plan",
     "plan_approach",

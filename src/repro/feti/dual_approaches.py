@@ -72,7 +72,6 @@ class DualOperatorApproach:
         self,
         sub: Subdomain,
         ordering: str = "nd",
-        engine: str = "superlu",
         reuse=None,
     ) -> SubdomainPreprocess:
         """Preprocess one subdomain; *reuse* is the caller's
@@ -89,8 +88,8 @@ class _ImplicitApproach(DualOperatorApproach):
 
     library: FactorizationLibrary
 
-    def preprocess_subdomain(self, sub, ordering="nd", engine="superlu", reuse=None):
-        factor = factorize_subdomain(sub, ordering=ordering, engine=engine, reuse=reuse)
+    def preprocess_subdomain(self, sub, ordering="nd", reuse=None):
+        factor = factorize_subdomain(sub, ordering=ordering, reuse=reuse)
         return SubdomainPreprocess(
             local_op=ImplicitLocalOperator(factor=factor, bt=sub.bt),
             factorization_time=self.library.factorization_time(factor),
@@ -117,8 +116,8 @@ class ExplMkl(DualOperatorApproach):
     explicit = True
     apply_device = "cpu"
 
-    def preprocess_subdomain(self, sub, ordering="nd", engine="superlu", reuse=None):
-        factor = factorize_subdomain(sub, ordering=ordering, engine=engine, reuse=reuse)
+    def preprocess_subdomain(self, sub, ordering="nd", reuse=None):
+        factor = factorize_subdomain(sub, ordering=ordering, reuse=reuse)
         res = schur_augmented(sub.regularized(), sub.bt, factor=factor)
         from repro.gpu.costmodel import KernelCost
 
@@ -149,10 +148,10 @@ class _AssemblerApproach(DualOperatorApproach):
     def _config(self, dim: int) -> AssemblyConfig:
         raise NotImplementedError
 
-    def preprocess_subdomain(self, sub, ordering="nd", engine="superlu", reuse=None):
+    def preprocess_subdomain(self, sub, ordering="nd", reuse=None):
         dim = sub.coords.shape[1]
         require(dim in (2, 3), "subdomain must be 2-D or 3-D")
-        factor = factorize_subdomain(sub, ordering=ordering, engine=engine, reuse=reuse)
+        factor = factorize_subdomain(sub, ordering=ordering, reuse=reuse)
         if self.gpu:
             assembler = SchurAssembler(config=self._config(dim), spec=A100_40GB)
             apply_t = explicit_apply_time(
@@ -223,10 +222,8 @@ class ExplHybrid(DualOperatorApproach):
     explicit = True
     apply_device = "gpu"
 
-    def preprocess_subdomain(self, sub, ordering="nd", engine="superlu", reuse=None):
-        base = ExplMkl().preprocess_subdomain(
-            sub, ordering=ordering, engine=engine, reuse=reuse
-        )
+    def preprocess_subdomain(self, sub, ordering="nd", reuse=None):
+        base = ExplMkl().preprocess_subdomain(sub, ordering=ordering, reuse=reuse)
         m = sub.bt.shape[1]
         from repro.gpu.spec import PCIE4_X16
 

@@ -80,7 +80,6 @@ class ExplicitLocalOperator(LocalDualOperator):
 def factorize_subdomain(
     sub: Subdomain,
     ordering: str = "nd",
-    engine: str = "superlu",
     conform: bool = True,
     relabeling=None,
     reuse=None,
@@ -127,7 +126,7 @@ def factorize_subdomain(
             fixing = choose_fixing_dofs(k_reg, sub.kernel_dim, coords=coords)
             k_reg = regularize(k_reg, fixing)
     perm = compute_ordering(k_reg, method=ordering, coords=coords, reuse=reuse)
-    factor = cholesky(k_reg, perm=perm, engine=engine, conform=conform)
+    factor = cholesky(k_reg, perm=perm, conform=conform)
     if relabeling is None:
         return factor
     return CholeskyFactor(

@@ -22,11 +22,6 @@ build blocks.  Every preconditioner accepts a dual vector ``(m,)`` or a
 multi-RHS panel ``(m, k)`` — the block PCPG applies them to whole
 residual panels.
 
-:class:`LowRankCorrection` is a Li–Xi–Saad-style low-rank correction
-built from a truncated eigendecomposition of the preconditioned dual
-operator restricted to ``null(G^T)``; the ``rank`` knob trades setup cost
-(priced via the kernel cost model) against iteration count.
-
 Preconditioning quality is orthogonal to the paper's evaluation (which
 times the dual-operator assembly), but the Dirichlet variant exercises the
 SC substrate on a second, different workload shape.
@@ -34,10 +29,7 @@ SC substrate on a second, different workload shape.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
 import numpy as np
-import scipy.linalg
 
 from repro.dd.decomposition import Decomposition
 from repro.dd.subdomain import Subdomain
@@ -102,9 +94,7 @@ class LumpedPreconditioner(StackedPreconditioner):
         super().__init__(decomposition, blocks)
 
 
-def interior_schur(
-    sub: Subdomain, ordering: str = "nd", engine: str = "superlu"
-) -> tuple[np.ndarray, np.ndarray]:
+def interior_schur(sub: Subdomain, ordering: str = "nd") -> tuple[np.ndarray, np.ndarray]:
     """``(S, boundary)``: the interface DOFs (those touched by ``B_i``) and
     the dense Schur complement ``S = K_bb - K_bi K_ii^{-1} K_ib`` of the
     subdomain's interior onto them, through the library's own sparse
@@ -124,7 +114,7 @@ def interior_schur(
     # Interior blocks of an SPSD subdomain matrix are SPD (the kernel is
     # supported on the whole subdomain), so plain Cholesky applies — no
     # regularization needed.
-    factor = cholesky(k_ii, ordering=ordering, coords=sub.coords[interior], engine=engine)
+    factor = cholesky(k_ii, ordering=ordering, coords=sub.coords[interior])
     y = solve_lower(factor.l, k_ib.tocsr()[factor.perm].toarray())
     return k_bb - y.T @ y, boundary
 
@@ -138,122 +128,13 @@ class DirichletPreconditioner(StackedPreconditioner):
     better approximation of the inverse dual operator.
     """
 
-    def __init__(
-        self, decomposition: Decomposition, ordering: str = "nd", engine: str = "superlu"
-    ) -> None:
+    def __init__(self, decomposition: Decomposition, ordering: str = "nd") -> None:
         blocks = []
         for sub in decomposition.subdomains:
-            s, boundary = interior_schur(sub, ordering=ordering, engine=engine)
+            s, boundary = interior_schur(sub, ordering=ordering)
             b = sub.bt.tocsr()[boundary].toarray()
             blocks.append(b.T @ s @ b)
         super().__init__(decomposition, blocks)
-
-
-#: Relative eigenvalue cutoff for the low-rank correction's small dense
-#: pseudo-factorizations.
-_LOWRANK_CUTOFF = 1e-12
-
-
-class LowRankCorrection:
-    """Li–Xi–Saad-style low-rank correction of a dual preconditioner.
-
-    Let ``Q`` span ``null(G^T)`` (the subspace PCPG iterates in), ``A_h =
-    Q^T F Q`` and ``B_h = Q^T M^{-1} Q``.  The eigenpairs ``B_h A_h u_i =
-    mu_i u_i`` (computed through a pseudo-factor ``B_h = L_b L_b^T`` and a
-    symmetric eigendecomposition of ``L_b^T A_h L_b``) are the spectrum of
-    the preconditioned projected dual operator.  The correction
-
-    .. math:: M_r^{-1} = M^{-1} + \\sum_{i=1}^{r} \\theta_i (Q u_i)(Q u_i)^T,
-              \\quad \\theta_i = \\max(0, 1/mu_i - 1)
-
-    maps the ``r`` lowest modes to eigenvalue exactly 1 while leaving the
-    rest untouched — the deviation-correction that keeps CG iteration
-    counts flat as the subdomain count grows.  ``theta_i >= 0`` keeps the
-    added term symmetric PSD, so ``M_r^{-1}`` stays a valid preconditioner.
-
-    ``rank=0`` stores nothing and forwards to *base* unchanged (bitwise
-    no-op).  Setup cost (the panel application ``F Q``, the small dense
-    Gram products and the eigendecompositions) is priced through the cost
-    model when an executor is supplied.
-    """
-
-    def __init__(
-        self,
-        base,
-        apply_f_panel: Callable[[np.ndarray], np.ndarray],
-        g: np.ndarray,
-        rank: int,
-        executor=None,
-    ) -> None:
-        require(rank >= 0, "rank must be >= 0")
-        self.base = base
-        self.rank = rank
-        self.u: np.ndarray | None = None
-        self.theta: np.ndarray | None = None
-        if rank == 0:
-            return
-        m = g.shape[0]
-        q = scipy.linalg.null_space(g.T) if g.shape[1] else np.eye(m)
-        if q.shape[1] == 0:
-            return
-        fq = apply_f_panel(q)
-        ah = q.T @ fq
-        mq = base.apply(q)
-        bh = q.T @ mq
-        # Pseudo-factor of the (possibly singular) PSD B_h.
-        s, v = np.linalg.eigh(bh)
-        keep = s > _LOWRANK_CUTOFF * max(float(s[-1]), 0.0)
-        if not np.any(keep):
-            return
-        lb = v[:, keep] * np.sqrt(s[keep])
-        c = lb.T @ ah @ lb
-        mu, z = np.linalg.eigh(c)  # ascending: lowest modes first
-        positive = mu > _LOWRANK_CUTOFF * max(float(mu[-1]), 0.0)
-        mu, z = mu[positive], z[:, positive]
-        theta = np.maximum(0.0, 1.0 / mu - 1.0)
-        r = min(rank, int(np.count_nonzero(theta > 0.0)))
-        if r == 0:
-            return
-        self.u = q @ (lb @ z[:, :r])  # (m, r): Q u_i columns
-        self.theta = theta[:r]
-        if executor is not None:
-            executor.charge(self._setup_cost(m, q.shape[1]), kernel="lowrank_setup")
-
-    @staticmethod
-    def _setup_cost(m: int, q: int):
-        """Dense setup FLOPs: two Gram products plus two eigensolves.
-
-        (The ``F Q`` / ``M^{-1} Q`` panel applications charge themselves
-        when routed through priced operators.)
-        """
-        from repro.gpu.costmodel import KernelCost, dense_bytes
-
-        flops = 4.0 * m * q * q + 20.0 * q**3
-        return KernelCost(
-            flops=flops,
-            bytes_moved=2.0 * dense_bytes((m, q)) + 4.0 * dense_bytes((q, q)),
-            launches=6,
-            char_dim=float(q),
-        )
-
-    @property
-    def effective_rank(self) -> int:
-        """Modes the correction actually carries (<= requested rank)."""
-        return 0 if self.theta is None else int(self.theta.size)
-
-    def correction(self, w: np.ndarray) -> np.ndarray:
-        """The added term ``U diag(theta) U^T w`` alone (symmetric PSD)."""
-        if self.u is None:
-            return np.zeros_like(w)
-        utw = self.u.T @ w
-        scaled = self.theta[:, None] * utw if w.ndim == 2 else self.theta * utw
-        return self.u @ scaled
-
-    def apply(self, w: np.ndarray) -> np.ndarray:
-        base = self.base.apply(w)
-        if self.u is None:
-            return base
-        return base + self.correction(w)
 
 
 def make_preconditioner(name: str | None, decomposition: Decomposition):
@@ -273,6 +154,5 @@ __all__ = [
     "DirichletPreconditioner",
     "StackedPreconditioner",
     "interior_schur",
-    "LowRankCorrection",
     "make_preconditioner",
 ]

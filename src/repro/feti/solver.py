@@ -144,7 +144,7 @@ class FetiSolver:
         The torn problem (see :func:`repro.dd.decompose`).
     approach:
         Table-2 approach name (e.g. ``"expl_gpu_opt"``) or an instance.
-    ordering / engine:
+    ordering:
         Forwarded to the per-subdomain factorization.
     preconditioner:
         ``"lumped"`` (default), ``"dirichlet"`` or ``"none"``.
@@ -157,7 +157,6 @@ class FetiSolver:
         decomposition: Decomposition,
         approach: str | DualOperatorApproach = "expl_gpu_opt",
         ordering: str = "nd",
-        engine: str = "superlu",
         preconditioner: str | None = "lumped",
         tol: float = 1e-10,
         max_iter: int = 1000,
@@ -165,21 +164,18 @@ class FetiSolver:
     ) -> None:
         self.decomposition = decomposition
         if approach == "auto":
-            approach = self._plan_auto(expected_iterations, ordering, engine)
+            approach = self._plan_auto(expected_iterations, ordering)
         self.approach = (
             make_approach(approach) if isinstance(approach, str) else approach
         )
         self.ordering = ordering
-        self.engine = engine
         self.preconditioner = make_preconditioner(preconditioner, decomposition)
         self.tol = tol
         self.max_iter = max_iter
         self.operator: DualOperator | None = None
         self.timings = FetiTimings()
 
-    def _plan_auto(
-        self, expected_iterations: int, ordering: str, engine: str
-    ) -> str:
+    def _plan_auto(self, expected_iterations: int, ordering: str) -> str:
         """Pick the approach via the planner on a representative subdomain."""
         from repro.feti.operator import factorize_subdomain
         from repro.feti.planner import plan_approach
@@ -188,7 +184,7 @@ class FetiSolver:
         sub = max(self.decomposition.subdomains, key=lambda s: s.n_dofs)
         if sub.n_multipliers == 0:
             return "impl_mkl"  # no dual problem: factorization is all there is
-        factor = factorize_subdomain(sub, ordering=ordering, engine=engine)
+        factor = factorize_subdomain(sub, ordering=ordering)
         plan = plan_approach(
             factor, sub.bt, sub.coords.shape[1], expected_iterations
         )
@@ -204,9 +200,7 @@ class FetiSolver:
         t = FetiTimings()
         reuse = SymbolicReuse()
         for sub in self.decomposition.subdomains:
-            res = self.approach.preprocess_subdomain(
-                sub, ordering=self.ordering, engine=self.engine, reuse=reuse
-            )
+            res = self.approach.preprocess_subdomain(sub, ordering=self.ordering, reuse=reuse)
             local_ops.append(res.local_op)
             t.factorization.append(res.factorization_time)
             t.assembly.append(res.assembly_time)
@@ -279,7 +273,6 @@ class FetiSolver:
         block: bool = True,
         grouped: bool = True,
         signature: str = "exact",
-        lowrank_rank: int = 0,
         seed: int = 0,
         load_panels: list[np.ndarray] | None = None,
     ) -> "BlockFetiSolution":
@@ -298,13 +291,10 @@ class FetiSolver:
         prices both.  The lumped and Dirichlet preconditioners always run
         the explicit ``F``'s GEMM chain over their stacked local blocks
         (:class:`~repro.feti.preconditioner.StackedPreconditioner`).
-        *lowrank_rank* > 0 wraps the preconditioner in a
-        :class:`~repro.feti.preconditioner.LowRankCorrection` of that rank.
         """
         from repro.batch.engine import BatchAssembler
         from repro.batch.stats import SolveStats
         from repro.feti.operator import GroupedDualOperator
-        from repro.feti.preconditioner import LowRankCorrection
 
         if self.operator is None:
             self.preprocess()
@@ -334,14 +324,6 @@ class FetiSolver:
             else None
         )
         apply_panel = gop.apply_panel if gop is not None else op.apply
-        if lowrank_rank > 0:
-            precond = LowRankCorrection(
-                precond,
-                apply_panel,
-                op.g,
-                lowrank_rank,
-                executor=gop.executor if gop is not None else None,
-            )
 
         apply_elapsed0 = gop.executor.elapsed if gop is not None else 0.0
         panels = [slice(None)] if block else [slice(j, j + 1) for j in range(n_rhs)]
@@ -387,7 +369,6 @@ class FetiSolver:
             launches_sequential_per_iteration=launches_seq,
             apply_seconds=apply_seconds,
             apply_seconds_per_iteration=apply_seconds / max(iterations, 1),
-            lowrank_rank=lowrank_rank,
             application="explicit GEMM" if op.explicit else "implicit TRSM",
         )
         BatchAssembler.record_solve_stats(stats)

@@ -16,9 +16,6 @@ from repro.gpu.costmodel import (
 from repro.gpu.memory import Allocation, MemoryPool, OutOfDeviceMemoryError
 from repro.gpu.runtime import (
     Executor,
-    GpuEvent,
-    SimulatedGpu,
-    Stream,
     cpu_executor,
     gpu_executor,
 )
@@ -39,9 +36,6 @@ __all__ = [
     "Executor",
     "cpu_executor",
     "gpu_executor",
-    "SimulatedGpu",
-    "Stream",
-    "GpuEvent",
     "MemoryPool",
     "Allocation",
     "OutOfDeviceMemoryError",

@@ -1,32 +1,23 @@
-"""Simulated device runtime: executors, streams, events.
+"""Simulated device runtime: executors.
 
 :class:`Executor` binds the numeric kernels of :mod:`repro.gpu.kernels` to a
 :class:`~repro.gpu.spec.DeviceSpec` and accumulates simulated time — the
 "synchronize before and after each kernel" measurement mode the paper uses
 for its pure-kernel benchmarks (§4.3).
-
-:class:`SimulatedGpu` adds the asynchronous picture: CUDA-like streams with
-independent timelines, host->device/device->host transfers priced by the
-PCIe model, and events for cross-stream dependencies.  The preprocessing
-pipeline of :mod:`repro.runtime.pipeline` schedules work on these timelines
-to reproduce the CPU–GPU overlap of the paper's ``mix`` configuration.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.gpu import kernels
 from repro.gpu.costmodel import CostLedger, KernelCost
-from repro.gpu.memory import MemoryPool
-from repro.gpu.spec import A100_40GB, EPYC_7763_CORE, PCIE4_X16, DeviceSpec, TransferSpec
+from repro.gpu.spec import A100_40GB, EPYC_7763_CORE, DeviceSpec
 from repro.obs import get_tracer
 from repro.sparse.stacked import StackedCSC
 from repro.sparse.triangular import TriangularSolver
-from repro.util import require
 
 #: Distinguishes the simulated-device tracks of concurrently live executors.
 _EXECUTOR_SEQ = itertools.count()
@@ -201,95 +192,9 @@ def gpu_executor(spec: DeviceSpec = A100_40GB) -> Executor:
     return Executor(spec)
 
 
-@dataclass
-class Stream:
-    """One CUDA-like stream: a serial timeline of kernel completions."""
-
-    index: int
-    t_free: float = 0.0
-
-
-@dataclass
-class GpuEvent:
-    """Completion marker usable for cross-stream dependencies."""
-
-    time: float
-
-
-@dataclass
-class SimulatedGpu:
-    """Asynchronous view of one simulated GPU with multiple streams.
-
-    Durations are computed from :class:`KernelCost` via the device roofline;
-    submissions advance per-stream timelines.  The host decides *when* it
-    submits (``t_ready``), which is how the pipeline scheduler overlaps CPU
-    factorizations with GPU assembly.
-    """
-
-    spec: DeviceSpec = A100_40GB
-    transfer: TransferSpec = PCIE4_X16
-    n_streams: int = 16
-    streams: list[Stream] = field(default_factory=list)
-    pool: MemoryPool | None = None
-
-    def __post_init__(self) -> None:
-        require(self.n_streams >= 1, "need at least one stream")
-        self.streams = [Stream(index=i) for i in range(self.n_streams)]
-        if self.pool is None:
-            self.pool = MemoryPool(capacity=self.spec.memory_capacity)
-
-    def submit(self, stream: int, cost: KernelCost, t_ready: float = 0.0) -> tuple[float, float]:
-        """Submit a kernel; returns simulated ``(t_start, t_end)``."""
-        s = self._stream(stream)
-        start = max(s.t_free, t_ready)
-        end = start + cost.time_on(self.spec)
-        s.t_free = end
-        return start, end
-
-    def submit_duration(self, stream: int, duration: float, t_ready: float = 0.0) -> tuple[float, float]:
-        """Submit pre-priced work (e.g. a whole per-subdomain assembly)."""
-        require(duration >= 0, "duration must be >= 0")
-        s = self._stream(stream)
-        start = max(s.t_free, t_ready)
-        end = start + duration
-        s.t_free = end
-        return start, end
-
-    def transfer_h2d(self, stream: int, nbytes: float, t_ready: float = 0.0) -> tuple[float, float]:
-        """Host-to-device copy on a stream (PCIe model)."""
-        return self.submit_duration(stream, self.transfer.time(nbytes), t_ready)
-
-    def transfer_d2h(self, stream: int, nbytes: float, t_ready: float = 0.0) -> tuple[float, float]:
-        """Device-to-host copy on a stream (PCIe model)."""
-        return self.submit_duration(stream, self.transfer.time(nbytes), t_ready)
-
-    def record_event(self, stream: int) -> GpuEvent:
-        return GpuEvent(time=self._stream(stream).t_free)
-
-    def wait_event(self, stream: int, event: GpuEvent) -> None:
-        s = self._stream(stream)
-        s.t_free = max(s.t_free, event.time)
-
-    def synchronize(self) -> float:
-        """Device-wide sync: simulated time when all streams are idle."""
-        return max(s.t_free for s in self.streams)
-
-    def reset(self) -> None:
-        for s in self.streams:
-            s.t_free = 0.0
-        self.pool = MemoryPool(capacity=self.spec.memory_capacity)
-
-    def _stream(self, index: int) -> Stream:
-        require(0 <= index < self.n_streams, f"no stream {index}")
-        return self.streams[index]
-
-
 __all__ = [
     "Executor",
     "PricingExecutor",
     "cpu_executor",
     "gpu_executor",
-    "Stream",
-    "GpuEvent",
-    "SimulatedGpu",
 ]

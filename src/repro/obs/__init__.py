@@ -13,8 +13,7 @@ One observability substrate for every layer (see
 * :mod:`repro.obs.export` — Chrome trace-event JSON (open in Perfetto or
   ``chrome://tracing``; one track per host worker thread, one per
   simulated device) and flat JSON/CSV metrics dumps.
-* :mod:`repro.obs.render` — terminal phase-breakdown tree plus the
-  simulated-schedule renderings (``render_schedule``/``gantt``).
+* :mod:`repro.obs.render` — terminal phase-breakdown tree.
 * :mod:`repro.obs.context` / :mod:`repro.obs.fleet` — distributed
   tracing: :class:`TraceContext` crosses process boundaries through the
   work-queue schema, per-worker snapshot artifacts merge into one
@@ -63,10 +62,8 @@ from repro.obs.metrics import (
 )
 from repro.obs.render import (
     PhaseNode,
-    gantt,
     phase_tree,
     render_phase_tree,
-    render_schedule,
     top_phases,
 )
 from repro.obs.span import (
@@ -113,6 +110,4 @@ __all__ = [
     "phase_tree",
     "render_phase_tree",
     "top_phases",
-    "render_schedule",
-    "gantt",
 ]

@@ -1,12 +1,9 @@
-"""Terminal rendering: phase-breakdown trees and schedule timelines.
+"""Terminal rendering: phase-breakdown trees.
 
 :func:`phase_tree` aggregates spans into a tree keyed by span-name path
 (spans with the same name under the same parent path merge into one node
 with a count), and :func:`render_phase_tree` prints it with inclusive
 wall / CPU time per phase — the ``python -m repro trace`` report.
-
-:func:`render_schedule` and :func:`gantt` (simulated-schedule renderings)
-live here so every human-readable timeline view comes out of one module.
 """
 
 from __future__ import annotations
@@ -14,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.obs.span import Span
-from repro.util import Table, format_si, require
+from repro.util import format_si
 
 
 @dataclass
@@ -102,59 +99,9 @@ def top_phases(spans: list[Span], n: int = 3) -> list[tuple[str, float, int]]:
     return [(name, sec, count) for name, (sec, count) in ranked[:n]]
 
 
-# -- simulated-schedule renderings -----------------------------------------
-
-
-def render_schedule(schedule, max_rows: int = 40) -> str:
-    """Tabular rendering of a schedule ordered by start time."""
-    table = Table(["task", "resource", "worker", "start", "end", "duration"])
-    rows = sorted(schedule.tasks.values(), key=lambda t: (t.start, t.task_id))
-    for t in rows[:max_rows]:
-        table.add_row(
-            [
-                t.task_id,
-                t.resource,
-                t.worker,
-                format_si(t.start, "s"),
-                format_si(t.end, "s"),
-                format_si(t.end - t.start, "s"),
-            ]
-        )
-    out = table.render()
-    if len(rows) > max_rows:
-        out += f"\n... ({len(rows) - max_rows} more tasks)"
-    out += f"\nmakespan: {format_si(schedule.makespan, 's')}"
-    return out
-
-
-def gantt(schedule, resource: str, n_workers: int, width: int = 72) -> str:
-    """ASCII Gantt chart of one worker pool.
-
-    Each row is a worker; each task paints its id's last character over its
-    time span.  Intended for debugging pipeline overlap, not for precision.
-    """
-    require(width >= 10, "width too small")
-    if schedule.makespan == 0:
-        return "(empty schedule)"
-    scale = width / schedule.makespan
-    rows = [[" "] * width for _ in range(n_workers)]
-    for t in sorted(schedule.tasks.values(), key=lambda t: t.start):
-        if t.resource != resource or t.worker >= n_workers:
-            continue
-        c0 = min(int(t.start * scale), width - 1)
-        c1 = min(max(int(t.end * scale), c0 + 1), width)
-        mark = t.task_id[-1]
-        for c in range(c0, c1):
-            rows[t.worker][c] = mark
-    lines = [f"{resource}[{i}] |{''.join(r)}|" for i, r in enumerate(rows)]
-    return "\n".join(lines)
-
-
 __all__ = [
     "PhaseNode",
     "phase_tree",
     "render_phase_tree",
     "top_phases",
-    "render_schedule",
-    "gantt",
 ]

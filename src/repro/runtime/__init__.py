@@ -1,11 +1,5 @@
-"""Simulated parallel runtime: task scheduler, preprocessing pipeline, traces."""
+"""Simulated parallel runtime: task scheduler and preprocessing pipeline."""
 
-from repro.runtime.node import (
-    KAROLINA_GPU_NODE,
-    NodeResult,
-    NodeSpec,
-    run_node_preprocessing,
-)
 from repro.runtime.pipeline import (
     PIPELINE_MODES,
     PipelineResult,
@@ -19,7 +13,6 @@ from repro.runtime.scheduler import (
     host_worker_count,
     schedule_tasks,
 )
-from repro.obs.render import gantt, render_schedule
 
 __all__ = [
     "Task",
@@ -31,10 +24,4 @@ __all__ = [
     "PipelineResult",
     "run_preprocessing_pipeline",
     "PIPELINE_MODES",
-    "render_schedule",
-    "gantt",
-    "NodeSpec",
-    "NodeResult",
-    "KAROLINA_GPU_NODE",
-    "run_node_preprocessing",
 ]

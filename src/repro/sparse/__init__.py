@@ -26,7 +26,6 @@ from repro.sparse.canonical import (
     rotation_signature,
 )
 from repro.sparse.cholesky import (
-    ENGINES,
     CholeskyFactor,
     NotPositiveDefiniteError,
     cholesky,
@@ -70,8 +69,6 @@ from repro.sparse.triangular import (
     DEFAULT_DENSE_CUTOFF,
     TriangularSolver,
     cached_triangular_solver,
-    get_dense_cutoff,
-    set_dense_cutoff,
     solve_lower,
     solve_upper,
     spsolve_lower_sparse,
@@ -100,7 +97,6 @@ __all__ = [
     "cholesky",
     "CholeskyFactor",
     "NotPositiveDefiniteError",
-    "ENGINES",
     "elimination_tree",
     "postorder",
     "row_pattern",
@@ -119,8 +115,6 @@ __all__ = [
     "TriangularSolver",
     "cached_triangular_solver",
     "DEFAULT_DENSE_CUTOFF",
-    "get_dense_cutoff",
-    "set_dense_cutoff",
     "spsolve_lower_sparse",
     "StackedCSC",
     "stack_permuted_dense",

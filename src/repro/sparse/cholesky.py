@@ -1,19 +1,12 @@
 """Numeric sparse Cholesky factorization ``P A P^T = L L^T``.
 
-Two interchangeable engines behind one API:
-
-* ``"native"`` — an up-looking row Cholesky written here from scratch,
-  driven by the elimination tree of :mod:`repro.sparse.etree`.  Reference
-  implementation: clear, exact, O(flops) in Python — use for small/medium
-  matrices and in tests.
-* ``"superlu"`` — applies our fill-reducing permutation, then runs SciPy's
-  compiled SuperLU with the *natural* column ordering and diagonal pivoting
-  disabled; for an SPD matrix this yields ``A = L_u U`` with ``U = D L_u^T``,
-  from which the Cholesky factor ``L = L_u sqrt(D)`` is extracted.  This is
-  the fast engine (the MKL/CHOLMOD stand-in of the reproduction).
-
-Both expose the factor ``L`` in CSC form — the property the paper needs from
-CHOLMOD ("only Cholmod allows extraction of factors", §5).
+:func:`cholesky` applies our fill-reducing permutation, then runs SciPy's
+compiled SuperLU with the *natural* column ordering and diagonal pivoting
+disabled; for an SPD matrix this yields ``A = L_u U`` with ``U = D L_u^T``,
+from which the Cholesky factor ``L = L_u sqrt(D)`` is extracted (the
+MKL/CHOLMOD stand-in of the reproduction).  The factor ``L`` is exposed in
+CSC form — the property the paper needs from CHOLMOD ("only Cholmod allows
+extraction of factors", §5).
 """
 
 from __future__ import annotations
@@ -27,13 +20,9 @@ import scipy.sparse.linalg as spla
 
 from repro.obs import get_tracer
 from repro.sparse.canonical import permute_symmetric
-from repro.sparse.etree import elimination_tree, row_pattern
 from repro.sparse.ordering import compute_ordering
 from repro.sparse.triangular import TriangularSolver
 from repro.util import check_permutation, check_sparse_square, cholesky_flops, require
-
-ENGINES = ("native", "superlu")
-
 
 class NotPositiveDefiniteError(ValueError):
     """Raised when a matrix passed to :func:`cholesky` is not SPD."""
@@ -52,7 +41,8 @@ class CholeskyFactor:
     flops:
         Numeric-factorization FLOP estimate (from the factor's column counts).
     engine:
-        Which engine produced the factor.
+        Which engine produced the factor (always ``"superlu"``; kept in
+        the stored artifact format).
     """
 
     l: sp.csc_matrix
@@ -102,7 +92,6 @@ def cholesky(
     ordering: str = "nd",
     perm: np.ndarray | None = None,
     coords: np.ndarray | None = None,
-    engine: str = "superlu",
     conform: bool = False,
 ) -> CholeskyFactor:
     """Factorize the SPD matrix *a* as ``a[perm][:, perm] = L L^T``.
@@ -119,8 +108,6 @@ def cholesky(
         Explicit permutation to use instead of computing one.
     coords:
         Node coordinates forwarded to geometric nested dissection.
-    engine:
-        ``"superlu"`` (fast, default) or ``"native"`` (reference).
     conform:
         Pad the stored factor to the full *symbolic* fill pattern (explicit
         zeros included).  SuperLU drops factor entries whose numerical value
@@ -130,27 +117,23 @@ def cholesky(
         :mod:`repro.batch` pattern cache.  Conforming makes the stored
         pattern a pure function of ``pattern(A)`` and ``perm`` — the
         canonical factor structure CHOLMOD's supernodal storage provides
-        for free.  The native engine is already symbolic-patterned.
+        for free.
     """
     n = check_sparse_square(a, "a")
-    require(engine in ENGINES, f"unknown engine {engine!r}")
-    with get_tracer().span("sparse.cholesky", n=n, nnz=int(a.nnz), engine=engine) as span:
+    with get_tracer().span("sparse.cholesky", n=n, nnz=int(a.nnz)) as span:
         if perm is None:
             perm = compute_ordering(a, method=ordering, coords=coords)
         else:
             perm = check_permutation(perm, n, "perm")
         ap = permute_symmetric(a, perm, format="csc")
 
-        if engine == "native":
-            l = _native_cholesky(ap)
-        else:
-            l = _superlu_cholesky(ap)
-            if conform:
-                l = conform_to_symbolic(l, ap)
+        l = _superlu_cholesky(ap)
+        if conform:
+            l = conform_to_symbolic(l, ap)
 
         counts = np.diff(l.indptr)
         span.set(nnz_l=int(l.nnz))
-    return CholeskyFactor(l=l, perm=perm, flops=cholesky_flops(counts), engine=engine)
+    return CholeskyFactor(l=l, perm=perm, flops=cholesky_flops(counts), engine="superlu")
 
 
 #: Bounded memo of symbolic fill patterns keyed by the input pattern digest.
@@ -248,76 +231,9 @@ def _superlu_cholesky(ap: sp.csc_matrix) -> sp.csc_matrix:
     return l
 
 
-def _native_cholesky(ap: sp.csc_matrix) -> sp.csc_matrix:
-    """Up-looking row Cholesky (reference implementation).
-
-    Row *i* of ``L`` solves ``L[:i, :i] y = A[:i, i]`` on the row pattern
-    given by the etree row subtree, then the diagonal entry closes the row.
-    """
-    n = ap.shape[0]
-    a_lower = sp.tril(ap, format="csr")
-    parent = elimination_tree(a_lower)
-
-    indptr_a, indices_a, data_a = a_lower.indptr, a_lower.indices, a_lower.data
-    row_cols: list[np.ndarray] = []
-    row_vals: list[np.ndarray] = []
-    diag = np.zeros(n, dtype=np.float64)
-    x = np.zeros(n, dtype=np.float64)
-
-    for i in range(n):
-        patt = row_pattern(a_lower, parent, i)
-        # Scatter row i of A (below-diagonal part + diagonal).
-        aii = 0.0
-        for t in range(indptr_a[i], indptr_a[i + 1]):
-            j = indices_a[t]
-            if j == i:
-                aii = data_a[t]
-            else:
-                x[j] = data_a[t]
-        # Forward substitution restricted to the row pattern.
-        for j in patt:
-            cols_j = row_cols[j]
-            if cols_j.size:
-                x[j] -= row_vals[j] @ x[cols_j]
-            x[j] /= diag[j]
-        vals = x[patt]
-        d2 = aii - float(vals @ vals)
-        if d2 <= 0.0:
-            # Clean workspace before raising.
-            x[patt] = 0.0
-            raise NotPositiveDefiniteError(
-                f"non-positive pivot {d2:.3e} at column {i}"
-            )
-        diag[i] = np.sqrt(d2)
-        row_cols.append(patt)
-        row_vals.append(vals.copy())
-        x[patt] = 0.0
-
-    # Assemble CSR rows (below-diagonal) + diagonal, convert to CSC.
-    nnz = sum(c.size for c in row_cols) + n
-    indptr = np.zeros(n + 1, dtype=np.intp)
-    indices = np.empty(nnz, dtype=np.intp)
-    data = np.empty(nnz, dtype=np.float64)
-    pos = 0
-    for i in range(n):
-        c = row_cols[i]
-        k = c.size
-        indices[pos : pos + k] = c
-        data[pos : pos + k] = row_vals[i]
-        indices[pos + k] = i
-        data[pos + k] = diag[i]
-        pos += k + 1
-        indptr[i + 1] = pos
-    l_csr = sp.csr_matrix((data, indices, indptr), shape=(n, n))
-    l = l_csr.tocsc()
-    l.sort_indices()
-    return l
-
-
 __all__ = [
     "cholesky",
     "CholeskyFactor",
     "NotPositiveDefiniteError",
-    "ENGINES",
     "conform_to_symbolic",
 ]

@@ -3,8 +3,7 @@
 The elimination tree (etree) is the core data structure of sparse Cholesky:
 ``parent[j]`` is the row index of the first sub-diagonal nonzero of column
 *j* of the factor ``L``.  Row sub-trees of the etree give the nonzero pattern
-of each row of ``L``, which both the symbolic factorization and the native
-up-looking numeric kernel use.
+of each row of ``L``, which the symbolic factorization uses.
 """
 
 from __future__ import annotations

@@ -53,7 +53,6 @@ def schur_augmented(
     ordering: str = "nd",
     coords: np.ndarray | None = None,
     factor: CholeskyFactor | None = None,
-    engine: str = "superlu",
 ) -> AugmentedSchurResult:
     """Compute ``F = B K_reg^{-1} B^T`` exploiting sparsity of both inputs.
 
@@ -63,7 +62,7 @@ def schur_augmented(
         Regularized SPD subdomain matrix.
     bt:
         Sparse ``B^T`` (n x m) — the transposed gluing matrix.
-    ordering, coords, engine:
+    ordering, coords:
         Forwarded to :func:`repro.sparse.cholesky.cholesky` when *factor*
         is not supplied.
     factor:
@@ -74,7 +73,7 @@ def schur_augmented(
     n = k_reg.shape[0]
     require(bt.shape[0] == n, f"bt has {bt.shape[0]} rows, K has order {n}")
     if factor is None:
-        factor = cholesky(k_reg, ordering=ordering, coords=coords, engine=engine)
+        factor = cholesky(k_reg, ordering=ordering, coords=coords)
     # Permute B^T rows consistently with the factor: Y = L^{-1} (P B^T).
     bt_perm = bt.tocsr()[factor.perm].tocsc()
     y, solve_flops = spsolve_lower_sparse(factor.l, bt_perm)

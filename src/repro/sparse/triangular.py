@@ -3,14 +3,14 @@
 Provides the three TRSM flavours the paper's algorithm needs:
 
 * :func:`solve_lower` / :func:`solve_upper` — sparse factor, **dense** RHS
-  (the classic TRSM of §3.2), with three interchangeable backends:
-  ``"python"`` (reference column-oriented forward substitution),
-  ``"superlu"`` (factor the triangle with zero fill and use SuperLU's
-  compiled solve — the fast path), and ``"dense"`` (densify + LAPACK
-  ``trsm``, what the *dense factor storage* setting of the paper does).
+  (the classic TRSM of §3.2).  Factors of order up to
+  :data:`DEFAULT_DENSE_CUTOFF` are densified and solved by LAPACK
+  ``trsm`` (SuperLU setup dominates at small orders); larger ones go
+  through SuperLU's compiled solve on the zero-fill factorization of the
+  triangle.
 * :class:`TriangularSolver` — caches the SuperLU object so repeated solves
   with one factor (FETI iterations) pay the analysis once.  The module-level
-  ``"superlu"`` path amortizes too: :func:`cached_triangular_solver` memoizes
+  SuperLU path amortizes too: :func:`cached_triangular_solver` memoizes
   the solver per factor object in a small LRU, so repeated
   :func:`solve_lower`/:func:`solve_upper` calls with the same factor pay the
   SuperLU analysis once instead of per call.
@@ -18,12 +18,6 @@ Provides the three TRSM flavours the paper's algorithm needs:
   Gilbert–Peierls reach + numeric scatter; returns the exact FLOPs
   performed.  This is what makes the augmented-factorization Schur
   complement (PARDISO stand-in) cheap for very sparse problems.
-
-The ``"auto"`` backend picks dense LAPACK below a *dense cutoff* (SuperLU
-setup dominates for small orders).  The cutoff defaults to
-:data:`DEFAULT_DENSE_CUTOFF` and is host-tunable: measure the actual
-crossover with :func:`repro.core.tuning.tune_dense_cutoff` or set it
-directly with :func:`set_dense_cutoff`.
 """
 
 from __future__ import annotations
@@ -40,120 +34,40 @@ import scipy.sparse.linalg as spla
 from repro.obs import get_tracer
 from repro.util import check_lower_triangular, check_sparse_square, require
 
-_BACKENDS = ("auto", "python", "superlu", "dense")
-
-#: Default factor order below which the dense LAPACK path beats SuperLU setup.
+#: Factor order up to which a solve densifies into LAPACK: below it
+#: SuperLU's setup costs more than the dense solve.
 DEFAULT_DENSE_CUTOFF = 256
 
-_dense_cutoff = DEFAULT_DENSE_CUTOFF
 
-
-def get_dense_cutoff() -> int:
-    """Current dense-vs-SuperLU crossover used by the ``"auto"`` backend."""
-    return _dense_cutoff
-
-
-def set_dense_cutoff(n: int) -> int:
-    """Set the ``"auto"`` crossover; returns the previous value.
-
-    ``0`` sends every auto solve to SuperLU; a very large value sends every
-    auto solve to dense LAPACK.  :func:`repro.core.tuning.tune_dense_cutoff`
-    measures the right value for this host.
-    """
-    global _dense_cutoff
-    require(n >= 0, "dense cutoff must be >= 0")
-    previous = _dense_cutoff
-    _dense_cutoff = int(n)
-    return previous
-
-
-def solve_lower(
-    l: sp.spmatrix,
-    b: np.ndarray,
-    method: str = "auto",
-    unit_diagonal: bool = False,
-) -> np.ndarray:
+def solve_lower(l: sp.spmatrix, b: np.ndarray) -> np.ndarray:
     """Solve ``L x = b`` with sparse lower-triangular *l* and dense *b*."""
-    return _solve_triangular(l, b, lower=True, method=method, unit_diagonal=unit_diagonal)
+    return _solve_triangular(l, b, lower=True)
 
 
-def solve_upper(
-    l: sp.spmatrix,
-    b: np.ndarray,
-    method: str = "auto",
-    unit_diagonal: bool = False,
-) -> np.ndarray:
+def solve_upper(l: sp.spmatrix, b: np.ndarray) -> np.ndarray:
     """Solve ``L^T x = b`` given the *lower* factor *l* and dense *b*."""
-    return _solve_triangular(l, b, lower=False, method=method, unit_diagonal=unit_diagonal)
+    return _solve_triangular(l, b, lower=False)
 
 
-def _solve_triangular(
-    l: sp.spmatrix,
-    b: np.ndarray,
-    lower: bool,
-    method: str,
-    unit_diagonal: bool,
-) -> np.ndarray:
+def _solve_triangular(l: sp.spmatrix, b: np.ndarray, lower: bool) -> np.ndarray:
     n = check_sparse_square(l, "L")
-    require(method in _BACKENDS, f"unknown method {method!r}")
     b = np.asarray(b, dtype=np.float64)
     squeeze = b.ndim == 1
     if squeeze:
         b = b[:, None]
     require(b.shape[0] == n, f"RHS has {b.shape[0]} rows, factor has order {n}")
-    if method == "auto":
-        method = "dense" if n <= _dense_cutoff else "superlu"
+    method = "dense" if n <= DEFAULT_DENSE_CUTOFF else "superlu"
 
     with get_tracer().span(
         "sparse.trsm", n=n, nrhs=int(b.shape[1]), method=method, lower=lower
     ):
-        if method == "python":
-            x = _forward_python(l, b) if lower else _backward_python(l, b)
-        elif method == "dense":
-            ld = l.toarray()
+        if method == "dense":
             x = scipy.linalg.solve_triangular(
-                ld, b, lower=True, trans="N" if lower else "T", unit_diagonal=unit_diagonal
+                l.toarray(), b, lower=True, trans="N" if lower else "T"
             )
-        else:  # superlu, amortized per factor object
-            solver = cached_triangular_solver(l)
-            x = solver.solve(b, transpose=not lower)
+        else:  # amortized per factor object
+            x = cached_triangular_solver(l).solve(b, transpose=not lower)
     return x[:, 0] if squeeze else x
-
-
-def _forward_python(l: sp.spmatrix, b: np.ndarray) -> np.ndarray:
-    """Reference column-oriented forward substitution (lower triangular)."""
-    lc = l.tocsc()
-    check_lower_triangular(lc, "L")
-    indptr, indices, data = lc.indptr, lc.indices, lc.data
-    x = b.astype(np.float64, copy=True)
-    n = lc.shape[0]
-    for j in range(n):
-        start, end = indptr[j], indptr[j + 1]
-        if start == end or indices[start] != j:
-            raise ValueError(f"factor has a structurally zero diagonal at {j}")
-        x[j] /= data[start]
-        rows = indices[start + 1 : end]
-        if rows.size:
-            x[rows] -= np.outer(data[start + 1 : end], x[j])
-    return x
-
-
-def _backward_python(l: sp.spmatrix, b: np.ndarray) -> np.ndarray:
-    """Reference backward substitution solving ``L^T x = b``."""
-    lc = l.tocsc()
-    check_lower_triangular(lc, "L")
-    indptr, indices, data = lc.indptr, lc.indices, lc.data
-    x = b.astype(np.float64, copy=True)
-    n = lc.shape[0]
-    for j in range(n - 1, -1, -1):
-        start, end = indptr[j], indptr[j + 1]
-        if start == end or indices[start] != j:
-            raise ValueError(f"factor has a structurally zero diagonal at {j}")
-        rows = indices[start + 1 : end]
-        if rows.size:
-            x[j] -= data[start + 1 : end] @ x[rows]
-        x[j] /= data[start]
-    return x
 
 
 class TriangularSolver:
@@ -202,7 +116,7 @@ def cached_triangular_solver(l: sp.spmatrix) -> TriangularSolver:
     rebuilds the solver, never returns stale numerics.  The value check is a
     flat array compare — O(nnz), negligible next to both the SuperLU
     analysis it avoids and the solve that follows.  This is what lets the
-    module-level ``solve_lower``/``solve_upper`` ``"superlu"`` path pay the
+    module-level ``solve_lower``/``solve_upper`` SuperLU path pay the
     analysis once per factor instead of once per call.
     """
     if not sp.issparse(l) or l.format not in ("csc", "csr"):
@@ -358,7 +272,5 @@ __all__ = [
     "cached_triangular_solver",
     "SOLVER_CACHE_MAX_ENTRIES",
     "DEFAULT_DENSE_CUTOFF",
-    "get_dense_cutoff",
-    "set_dense_cutoff",
     "spsolve_lower_sparse",
 ]

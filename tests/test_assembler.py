@@ -1,9 +1,10 @@
-"""Tests for the end-to-end SchurAssembler and tuning helpers."""
+"""Tests for the end-to-end SchurAssembler."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from repro.core import (
@@ -13,16 +14,13 @@ from repro.core import (
     by_count,
     by_size,
     default_config,
-    sweep_block_parameter,
-    tune_block_parameter,
 )
 from repro.dd import decompose
 from repro.fem import heat_transfer_2d, heat_transfer_3d
 from repro.gpu import A100_40GB, EPYC_7763_CORE, Executor
-from repro.sparse import cholesky, solve_lower
+from repro.sparse import TriangularSolver, cholesky
 from repro.sparse.canonical import union_plan
 from repro.sparse.cholesky import CholeskyFactor
-from tests.conftest import random_spd
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +35,9 @@ def subdomain_2d():
 @pytest.fixture(scope="module")
 def reference_2d(subdomain_2d):
     factor, bt = subdomain_2d
-    y = solve_lower(factor.l, bt.tocsr()[factor.perm].toarray(), method="dense")
+    y = scipy.linalg.solve_triangular(
+        factor.l.toarray(), bt.tocsr()[factor.perm].toarray(), lower=True
+    )
     return y.T @ y
 
 
@@ -162,7 +162,7 @@ def test_assembler_3d_problem():
     dec = decompose(p, grid=(2, 2, 2))
     sub = next(s for s in dec.subdomains if s.floating)
     factor = cholesky(sub.regularized(), ordering="nd", coords=sub.coords)
-    ref_y = solve_lower(factor.l, sub.bt.tocsr()[factor.perm].toarray(), method="superlu")
+    ref_y = TriangularSolver(factor.l).solve(sub.bt.tocsr()[factor.perm].toarray())
     ref = ref_y.T @ ref_y
     res = SchurAssembler(config=default_config("gpu", 3)).assemble(factor, sub.bt)
     assert np.allclose(res.f, ref, atol=1e-8)
@@ -227,52 +227,14 @@ def test_entry_points_share_one_body(config, subdomain_2d):
     assert np.allclose(three[1].f, one.f, rtol=1e-9, atol=1e-10)  # (s B)(s L)^-T(s L)^-1(s B)^T = F
 
 
-# ---------------------------------------------------------------------------
-# tuning
-# ---------------------------------------------------------------------------
-
-
-def test_sweep_block_parameter(subdomain_2d):
+def test_tiny_blocks_are_slower_than_moderate_ones(subdomain_2d):
+    """Launch overhead dominates one-column blocks — the left arm of
+    Figure 5's U-shape."""
     factor, bt = subdomain_2d
-    points = sweep_block_parameter(
-        factor,
-        bt,
-        default_config("gpu", 2),
-        A100_40GB,
-        values=[5, 50, 500],
-        mode="size",
-        target="both",
-    )
-    assert len(points) == 3
-    assert all(p.elapsed > 0 for p in points)
-    # Extremely small blocks must be slower than moderate ones (launch
-    # overhead dominates) — the U-shape of Figure 5.
-    tiny = sweep_block_parameter(
-        factor, bt, default_config("gpu", 2), A100_40GB, values=[1], mode="size",
-        target="both",
-    )[0]
-    assert tiny.elapsed > min(p.elapsed for p in points)
 
+    def elapsed(size):
+        spec = by_size(size)
+        cfg = default_config("gpu", 2).with_overrides(trsm_blocks=spec, syrk_blocks=spec)
+        return SchurAssembler(config=cfg, spec=A100_40GB).assemble(factor, bt).elapsed
 
-def test_tune_block_parameter_returns_best(subdomain_2d):
-    factor, bt = subdomain_2d
-    best = tune_block_parameter(
-        factor,
-        bt,
-        default_config("gpu", 2),
-        A100_40GB,
-        values=[1, 20, 200],
-        mode="size",
-        target="trsm",
-    )
-    assert best.mode == "size"
-    assert best.value in (1, 20, 200)
-
-
-def test_sweep_validates():
-    factor = cholesky(random_spd(10, 0.5, 0))
-    bt = sp.random(10, 3, density=0.3, random_state=0, format="csc")
-    with pytest.raises(ValueError, match="unknown target"):
-        sweep_block_parameter(factor, bt, default_config(), A100_40GB, [1], target="x")
-    with pytest.raises(ValueError, match="unknown mode"):
-        sweep_block_parameter(factor, bt, default_config(), A100_40GB, [1], mode="x")
+    assert elapsed(1) > min(elapsed(v) for v in (5, 50, 500))

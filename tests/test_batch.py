@@ -14,7 +14,6 @@ from repro.batch import (
     geometric_fingerprint,
     items_from_decomposition,
     pattern_digest,
-    subdomain_fingerprint,
     symbolic_analysis_cost,
 )
 from repro.core import (
@@ -66,18 +65,6 @@ def test_fingerprint_sees_pattern_changes(workload_2d):
     bt2 = sp.csc_matrix(bt.shape)
     assert factor_fingerprint(factor, bt2).key != fp1.key
     assert fp1.short() == fp1.key[:12]
-
-
-def test_subdomain_fingerprint_groups_by_pattern():
-    k1 = random_spd(20, 0.2, 1)
-    k2 = k1.copy()
-    k2.data = k2.data + 0.5  # same pattern
-    bt = sp.random(20, 5, density=0.3, random_state=0, format="csc")
-    a = subdomain_fingerprint(k1, bt, ordering="nd")
-    b = subdomain_fingerprint(k2, bt, ordering="nd")
-    c = subdomain_fingerprint(k1, bt, ordering="amd")
-    assert a.key == b.key
-    assert a.key != c.key
 
 
 def test_pattern_digest_validates():
@@ -359,15 +346,11 @@ def test_cache_get_is_pure_peek():
     assert cache.stats.hits == 0 and cache.stats.misses == 3
 
 
-def test_batch_stats_merge_and_summary(workload_2d):
+def test_batch_stats_summary(workload_2d):
     factor, bt = workload_2d
-    engine = BatchAssembler()
-    s1 = engine.plan_batch([(factor, bt)] * 2).stats
-    s2 = engine.plan_batch([(factor, bt)] * 3).stats
-    merged = s1.merge(s2)
-    assert merged.n_subdomains == 5
-    assert merged.hits == s1.hits + s2.hits
-    text = merged.summary()
+    stats = BatchAssembler().plan_batch([(factor, bt)] * 5).stats
+    assert stats.n_subdomains == 5
+    text = stats.summary()
     assert "hit rate" in text and "saved" in text
 
 
@@ -419,18 +402,6 @@ def floating_3x3():
     problem = heat_transfer_2d(12, dirichlet=())
     decomposition = decompose(problem, grid=(3, 3))
     return decomposition, items_from_decomposition(decomposition)
-
-
-def test_subdomain_fingerprint_geometry_aware(workload_2d):
-    factor, bt = workload_2d
-    k = random_spd(factor.n, 0.1, 3)
-    coords = np.random.default_rng(1).random((factor.n, 2))
-    plain = subdomain_fingerprint(k, bt)
-    geo = subdomain_fingerprint(k, bt, coords=coords)
-    assert plain.key != geo.key  # frame digest is part of the key
-    assert subdomain_fingerprint(k, bt, coords=coords + 3.5).key == geo.key
-    with pytest.raises(ValueError, match="one row per DOF"):
-        subdomain_fingerprint(k, bt, coords=coords[:-1])
 
 
 def test_batch_engine_groups_structured_grid(floating_3x3):

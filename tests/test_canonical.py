@@ -11,7 +11,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.batch import factor_fingerprint, geometric_fingerprint, subdomain_fingerprint
+from repro.batch import factor_fingerprint, geometric_fingerprint
 from repro.dd import decompose
 from repro.fem import heat_transfer_2d
 from repro.feti.operator import factorize_subdomain
@@ -31,6 +31,7 @@ from repro.sparse import (
 )
 from repro.sparse.cholesky import CholeskyFactor
 from tests.conftest import grid_coords, laplacian_2d, random_spd
+from tests.reference_factor import native_cholesky
 
 #: Offsets bounded so translation jitter (~eps * |offset|) stays far below
 #: the canonical quantum (tolerance * subdomain size); see canonical.py.
@@ -153,10 +154,6 @@ def test_property_fingerprints_translation_invariant(floating_subdomain, dx, dy)
     sub = floating_subdomain
     offset = np.array([dx, dy])
     assert (
-        subdomain_fingerprint(sub.k, sub.bt, coords=sub.coords).key
-        == subdomain_fingerprint(sub.k, sub.bt, coords=sub.coords + offset).key
-    )
-    assert (
         geometric_fingerprint(sub.coords, sub.bt).key
         == geometric_fingerprint(sub.coords + offset, sub.bt).key
     )
@@ -236,7 +233,7 @@ def test_regularize_preserves_explicit_zeros():
 def test_conform_to_symbolic_matches_native_pattern():
     a = random_spd(40, 0.1, seed=3)
     sup = cholesky(a, ordering="amd", conform=True)
-    nat = cholesky(a, ordering="amd", engine="native")
+    nat = native_cholesky(a, ordering="amd")
     ls, ln = sup.l.tocsc(), nat.l.tocsc()
     assert np.array_equal(ls.indptr, ln.indptr)
     assert np.array_equal(ls.indices, ln.indices)

@@ -9,13 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sparse import (
-    cholesky,
     elimination_tree,
     factor_pattern_csc,
     postorder,
     symbolic_factorize,
 )
 from tests.conftest import laplacian_1d, laplacian_2d, random_spd
+from tests.reference_factor import native_cholesky
 
 
 def test_etree_tridiagonal_is_a_path():
@@ -64,7 +64,7 @@ def test_postorder_is_permutation():
 def test_symbolic_matches_numeric_pattern():
     """Symbolic nnz(L) must equal the numeric factor's nnz (no cancellation)."""
     a = random_spd(80, density=0.05, seed=11)
-    f = cholesky(a, ordering="natural", engine="native")
+    f = native_cholesky(a, ordering="natural")
     sym = symbolic_factorize(a)
     assert sym.nnz_l == f.l.nnz
     assert np.array_equal(sym.col_counts, np.diff(f.l.tocsc().indptr))
@@ -126,7 +126,7 @@ def test_tridiagonal_symbolic_no_fill():
 def test_property_symbolic_nnz_matches_native_numeric(n, seed):
     a = random_spd(n, density=min(1.0, 5.0 / n), seed=seed)
     sym = symbolic_factorize(a)
-    f = cholesky(a, ordering="natural", engine="native")
+    f = native_cholesky(a, ordering="natural")
     assert sym.nnz_l == f.l.nnz
 
 

@@ -17,7 +17,6 @@ from repro.gpu import (
     KernelCost,
     MemoryPool,
     OutOfDeviceMemoryError,
-    SimulatedGpu,
     cpu_executor,
     csx_bytes,
     dense_bytes,
@@ -396,7 +395,7 @@ def test_kernel_pricing_is_group_independent(name, factor):
 
 
 # ---------------------------------------------------------------------------
-# executor and simulated GPU
+# executor
 # ---------------------------------------------------------------------------
 
 
@@ -424,55 +423,6 @@ def test_cpu_executor_slower_on_large_dense(rng):
     cpu.trsm_dense(ld[None], x.copy()[None])
     gpu.trsm_dense(ld[None], x.copy()[None])
     assert cpu.elapsed > gpu.elapsed
-
-
-def test_streams_run_in_parallel():
-    g = SimulatedGpu(n_streams=4)
-    c = KernelCost(flops=1e9, bytes_moved=1e6, char_dim=1000)
-    ends = [g.submit(i, c)[1] for i in range(4)]
-    assert len({round(e, 12) for e in ends}) == 1  # same finish time
-    # Serial within one stream:
-    s, e = g.submit(0, c)
-    assert s == pytest.approx(ends[0])
-
-
-def test_stream_ready_time_respected():
-    g = SimulatedGpu(n_streams=1)
-    c = KernelCost(flops=1e6, bytes_moved=1e3, char_dim=100)
-    start, _ = g.submit(0, c, t_ready=5.0)
-    assert start == 5.0
-
-
-def test_events_order_streams():
-    g = SimulatedGpu(n_streams=2)
-    c = KernelCost(flops=1e9, bytes_moved=1e6, char_dim=1000)
-    g.submit(0, c)
-    ev = g.record_event(0)
-    g.wait_event(1, ev)
-    start, _ = g.submit(1, c)
-    assert start >= ev.time
-
-
-def test_transfers_priced_by_pcie():
-    g = SimulatedGpu(n_streams=1)
-    s, e = g.transfer_h2d(0, 24e9)  # one second of PCIe
-    assert e - s == pytest.approx(1.0 + PCIE4_X16.latency)
-    s2, e2 = g.transfer_d2h(0, 0.0)
-    assert e2 - s2 == pytest.approx(PCIE4_X16.latency)
-
-
-def test_synchronize_and_reset():
-    g = SimulatedGpu(n_streams=3)
-    g.submit(2, KernelCost(flops=1e10, bytes_moved=0, char_dim=1e4))
-    assert g.synchronize() > 0
-    g.reset()
-    assert g.synchronize() == 0.0
-
-
-def test_bad_stream_rejected():
-    g = SimulatedGpu(n_streams=2)
-    with pytest.raises(ValueError):
-        g.submit(5, KernelCost())
 
 
 # ---------------------------------------------------------------------------

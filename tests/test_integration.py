@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +23,7 @@ from repro.feti import estimate_approach_timing, make_approach, solve_feti
 from repro.feti.operator import factorize_subdomain
 from repro.gpu import A100_40GB, Executor, MemoryPool, OutOfDeviceMemoryError
 from repro.runtime import SubdomainWork, run_preprocessing_pipeline
-from repro.sparse import cholesky, solve_lower
+from repro.sparse import cholesky
 from tests.conftest import random_spd
 
 
@@ -221,5 +222,7 @@ def test_property_assembler_any_config_matches_reference(
     factor = cholesky(random_spd(n, min(1.0, 6.0 / n), seed), ordering="amd")
     bt = sp.random(n, m, density=0.25, random_state=seed, format="csc")
     res = SchurAssembler(config=cfg, spec=A100_40GB).assemble(factor, bt)
-    y = solve_lower(factor.l, bt.tocsr()[factor.perm].toarray(), method="dense")
+    y = scipy.linalg.solve_triangular(
+        factor.l.toarray(), bt.tocsr()[factor.perm].toarray(), lower=True
+    )
     assert np.allclose(res.f, y.T @ y, atol=1e-8)

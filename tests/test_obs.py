@@ -2,8 +2,7 @@
 
 Covers the span model (nesting, thread-awareness, no-op fast path), the
 metrics registry, the Chrome trace-event exporter (structural validation +
-round-trip), the phase-tree/top-phases renderings, the migrated schedule
-renderings behind their deprecation shim, and the end-to-end batch-engine
+round-trip), the phase-tree/top-phases renderings, and the end-to-end batch-engine
 instrumentation acceptance criteria: an 8x8 floating grid traced through
 grouped execution exports well-formed Perfetto JSON, the phase inclusive
 times cover the measured wall clock, spans survive multi-threaded group
@@ -25,7 +24,6 @@ from repro.obs import (
     NOOP_SPAN,
     Tracer,
     chrome_trace,
-    gantt,
     get_tracer,
     load_chrome_trace,
     metrics_to_csv,
@@ -33,7 +31,6 @@ from repro.obs import (
     record_batch_stats,
     record_cost_ledger,
     render_phase_tree,
-    render_schedule,
     set_tracer,
     top_phases,
     tracing,
@@ -191,47 +188,6 @@ def test_record_batch_stats_covers_every_field():
             )
 
 
-def test_batch_stats_merge_is_complete():
-    """merge() must aggregate every dataclass field — a new field silently
-    dropped by merge() fails here, not in production."""
-    from repro.batch.stats import BatchStats
-
-    a_kwargs, b_kwargs = {}, {}
-    for i, f in enumerate(dataclasses.fields(BatchStats)):
-        if f.name == "execution":
-            a_kwargs[f.name] = "grouped"
-            b_kwargs[f.name] = "per-member"
-        elif f.type in ("int", "float") or isinstance(f.default, (int, float)):
-            a_kwargs[f.name] = 2 * i + 1
-            b_kwargs[f.name] = 1000 + i
-        elif "dict" in str(f.type):
-            a_kwargs[f.name] = {"x": 2 * i + 1, "y": 1}
-            b_kwargs[f.name] = {"x": 1000 + i, "z": 2}
-        else:
-            pytest.fail(
-                f"BatchStats.{f.name} has unrecognized type {f.type!r}; "
-                "extend BatchStats.merge and this test together"
-            )
-    a, b = BatchStats(**a_kwargs), BatchStats(**b_kwargs)
-    merged = a.merge(b)
-    for f in dataclasses.fields(BatchStats):
-        got = getattr(merged, f.name)
-        if f.name == "execution":
-            assert got == "mixed"  # differing modes merge to the sentinel
-        elif isinstance(got, dict):
-            expected = dict(a_kwargs[f.name])
-            for k, v in b_kwargs[f.name].items():
-                expected[k] = expected.get(k, 0) + v
-            assert got == expected, f"dict field {f.name} not merged"
-        else:
-            assert got == a_kwargs[f.name] + b_kwargs[f.name], (
-                f"BatchStats.merge drops field {f.name!r}"
-            )
-
-
-# -- exporters --------------------------------------------------------------
-
-
 def _validate_chrome_events(events):
     """Per tid: metadata first is not required, but B/E streams must be
     stack-disciplined with non-decreasing timestamps."""
@@ -360,45 +316,6 @@ def test_top_phases_ranking():
     assert ranked[0][0] == "kernel"  # 5 simulated seconds dominates
     assert ranked[0][1] == pytest.approx(5.0)
     assert ranked[0][2] == 1
-
-
-# -- migrated schedule renderings + deprecation shim ------------------------
-
-
-def _schedule(n_tasks: int, duration: float = 1.0, n_cpu: int = 2):
-    from repro.runtime import Task, schedule_tasks
-
-    tasks = [Task(f"t{i}", duration, "cpu") for i in range(n_tasks)]
-    return schedule_tasks(tasks, n_cpu=n_cpu, n_gpu=1)
-
-
-def test_render_schedule_empty():
-    schedule = _schedule(0)
-    text = render_schedule(schedule)
-    assert "makespan" in text
-    assert gantt(schedule, "cpu", 2) == "(empty schedule)"
-
-
-def test_render_schedule_overflow_truncates():
-    schedule = _schedule(7)
-    text = render_schedule(schedule, max_rows=3)
-    assert "... (4 more tasks)" in text
-    assert "t6" not in text.split("...")[0]
-
-
-def test_gantt_paints_worker_rows():
-    schedule = _schedule(4, duration=1.0, n_cpu=2)
-    chart = gantt(schedule, "cpu", 2, width=20)
-    lines = chart.splitlines()
-    assert len(lines) == 2
-    assert lines[0].startswith("cpu[0] |")
-    # 2 workers, 4 unit tasks: both rows fully painted with task-id marks
-    for line in lines:
-        body = line.split("|")[1]
-        assert set(body) <= set("0123")
-        assert " " not in body
-    with pytest.raises(ValueError):
-        gantt(schedule, "cpu", 2, width=5)
 
 
 # -- end-to-end batch instrumentation ---------------------------------------

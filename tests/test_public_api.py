@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,18 @@ def test_lazy_exports_resolve():
     for name in repro.__all__:
         assert getattr(repro, name) is not None
     assert "SchurAssembler" in dir(repro)
+    # Every subpackage's re-exports resolve too: a deleted unit leaves no
+    # dangling name behind in an ``__all__``.
+    packages = [
+        info.name
+        for info in pkgutil.walk_packages(repro.__path__, prefix="repro.")
+        if info.ispkg
+    ]
+    assert "repro.feti" in packages and "repro.sparse.ordering" in packages
+    for package in packages:
+        module = importlib.import_module(package)
+        for name in module.__all__:
+            assert getattr(module, name, None) is not None, f"{package}.{name}"
 
 
 def test_unknown_attribute():

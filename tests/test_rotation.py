@@ -285,8 +285,6 @@ def test_stats_grouping_efficiency_line():
     assert stats.members_per_group == 3.0
     assert stats.singleton_share == 0.25
     assert "1/4" in stats.summary()
-    merged = stats.merge(BatchStats(n_subdomains=4, n_groups=4, n_singleton_groups=4))
-    assert merged.n_singleton_groups == 5
     empty = BatchStats()
     assert empty.members_per_group == 0.0 and empty.singleton_share == 0.0
     assert "grouping:" not in empty.summary()

@@ -1,4 +1,4 @@
-"""Tests for the scheduler, the sep/mix pipeline and traces."""
+"""Tests for the scheduler and the sep/mix pipeline."""
 
 from __future__ import annotations
 
@@ -8,8 +8,6 @@ from repro.gpu import MemoryPool
 from repro.runtime import (
     SubdomainWork,
     Task,
-    gantt,
-    render_schedule,
     run_preprocessing_pipeline,
     schedule_tasks,
 )
@@ -147,18 +145,6 @@ def test_pipeline_validates():
         run_preprocessing_pipeline([SubdomainWork(1.0, 1.0)], mode="pipelined")
     with pytest.raises(ValueError, match="no subdomains"):
         run_preprocessing_pipeline([], mode="mix")
-
-
-def test_render_schedule_and_gantt():
-    work = [SubdomainWork(factorization=1.0, assembly=0.5) for _ in range(3)]
-    res = run_preprocessing_pipeline(work, mode="mix", n_threads=2, n_streams=2)
-    text = render_schedule(res.schedule)
-    assert "makespan" in text
-    assert "fact:0" in text
-    chart = gantt(res.schedule, "cpu", 2, width=30)
-    assert chart.count("\n") == 1  # two worker rows
-    with pytest.raises(ValueError):
-        gantt(res.schedule, "cpu", 2, width=5)
 
 
 def test_pipeline_per_subdomain():

@@ -1,4 +1,9 @@
-"""Tests for triangular solves (dense RHS backends + sparse-RHS Gilbert–Peierls)."""
+"""Tests for triangular solves (dense RHS paths + sparse-RHS Gilbert–Peierls).
+
+Parametrized tests run :func:`solve_lower` / :func:`solve_upper` down both
+sides of the dense cutoff (``dense``, ``superlu``), at the default cutoff
+(``auto``), and the pure-Python substitutions of
+:mod:`tests.reference_factor` (``python``)."""
 
 from __future__ import annotations
 
@@ -15,9 +20,32 @@ from repro.sparse import (
     solve_upper,
     spsolve_lower_sparse,
 )
+from repro.sparse import triangular as tri
 from tests.conftest import laplacian_2d, random_spd
+from tests.reference_factor import backward_python, forward_python
 
 BACKENDS = ["python", "superlu", "dense", "auto"]
+
+#: ``DEFAULT_DENSE_CUTOFF`` that sends a solve down each side of the dispatch.
+_CUTOFF = {"superlu": 0, "dense": 10_000}
+
+
+def _python(solve):
+    def run(l, b):
+        b = np.asarray(b, dtype=np.float64)
+        x = solve(l, b if b.ndim == 2 else b[:, None])
+        return x if b.ndim == 2 else x[:, 0]
+
+    return run
+
+
+def _solvers(method, monkeypatch):
+    """``(lower, upper)`` solve functions of one backend."""
+    if method == "python":
+        return _python(forward_python), _python(backward_python)
+    if method in _CUTOFF:
+        monkeypatch.setattr(tri, "DEFAULT_DENSE_CUTOFF", _CUTOFF[method])
+    return solve_lower, solve_upper
 
 
 def _factor(n=60, seed=0):
@@ -25,34 +53,40 @@ def _factor(n=60, seed=0):
 
 
 @pytest.mark.parametrize("method", BACKENDS)
-def test_solve_lower_matrix_rhs(method, rng):
+def test_solve_lower_matrix_rhs(method, rng, monkeypatch):
+    lower, _ = _solvers(method, monkeypatch)
     l = _factor()
     b = rng.standard_normal((60, 5))
-    x = solve_lower(l, b, method=method)
+    x = lower(l, b)
     assert np.allclose(l @ x, b, atol=1e-9)
 
 
 @pytest.mark.parametrize("method", BACKENDS)
-def test_solve_upper_matrix_rhs(method, rng):
+def test_solve_upper_matrix_rhs(method, rng, monkeypatch):
+    _, upper = _solvers(method, monkeypatch)
     l = _factor()
     b = rng.standard_normal((60, 5))
-    x = solve_upper(l, b, method=method)
+    x = upper(l, b)
     assert np.allclose(l.T @ x, b, atol=1e-9)
 
 
 @pytest.mark.parametrize("method", BACKENDS)
-def test_solve_vector_rhs_shape(method, rng):
+def test_solve_vector_rhs_shape(method, rng, monkeypatch):
+    lower, _ = _solvers(method, monkeypatch)
     l = _factor()
     b = rng.standard_normal(60)
-    x = solve_lower(l, b, method=method)
+    x = lower(l, b)
     assert x.shape == (60,)
     assert np.allclose(l @ x, b, atol=1e-9)
 
 
-def test_backends_agree(rng):
+def test_backends_agree(rng, monkeypatch):
     l = _factor(80, seed=5)
     b = rng.standard_normal((80, 3))
-    xs = [solve_lower(l, b, method=m) for m in ("python", "superlu", "dense")]
+    xs = [forward_python(l, b)]
+    for method in ("superlu", "dense"):
+        monkeypatch.setattr(tri, "DEFAULT_DENSE_CUTOFF", _CUTOFF[method])
+        xs.append(solve_lower(l, b))
     for x in xs[1:]:
         assert np.allclose(x, xs[0], atol=1e-9)
 
@@ -63,22 +97,16 @@ def test_rhs_dimension_mismatch():
         solve_lower(l, np.ones((59, 2)))
 
 
-def test_unknown_backend():
-    l = _factor()
-    with pytest.raises(ValueError, match="unknown method"):
-        solve_lower(l, np.ones(60), method="magma")
-
-
 def test_python_backend_rejects_zero_diagonal():
     l = sp.csc_matrix(np.array([[1.0, 0.0], [1.0, 0.0]]))
     with pytest.raises(ValueError, match="diagonal"):
-        solve_lower(l, np.ones(2), method="python")
+        forward_python(l, np.ones((2, 1)))
 
 
 def test_rejects_non_lower_triangular():
     a = sp.csc_matrix(np.array([[1.0, 2.0], [0.5, 1.0]]))
     with pytest.raises(ValueError, match="above the diagonal"):
-        solve_lower(a, np.ones(2), method="python")
+        forward_python(a, np.ones((2, 1)))
 
 
 def test_triangular_solver_cached_reuse(rng):
@@ -94,7 +122,7 @@ def test_spsolve_lower_sparse_matches_dense(rng):
     l = _factor(70, seed=2)
     b = sp.random(70, 8, density=0.07, random_state=3, format="csc")
     y, flops = spsolve_lower_sparse(l, b)
-    dense = solve_lower(l, b.toarray(), method="dense")
+    dense = forward_python(l, b.toarray())
     assert np.allclose(y.toarray(), dense, atol=1e-9)
     assert flops > 0
 
@@ -143,8 +171,8 @@ def test_property_forward_backward_roundtrip(n, m, seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, m))
     b = (l @ (l.T @ x))
-    y = solve_lower(l, b, method="python")
-    x2 = solve_upper(l, y, method="python")
+    y = forward_python(l, b)
+    x2 = backward_python(l, y)
     assert np.allclose(x2, x, atol=1e-7)
 
 
@@ -162,25 +190,24 @@ def test_property_spsolve_matches_dense(n, seed, density):
 
 
 # ---------------------------------------------------------------------------
-# solver memoization (superlu path) and the configurable dense cutoff
+# solver memoization (superlu path) and the dense cutoff
 # ---------------------------------------------------------------------------
 
 
-def test_superlu_solver_memoized_per_factor(rng):
-    from repro.sparse import triangular as tri
-
+def test_superlu_solver_memoized_per_factor(rng, monkeypatch):
+    monkeypatch.setattr(tri, "DEFAULT_DENSE_CUTOFF", 0)
     l = _factor(40, seed=7)
     b = rng.standard_normal((40, 2))
     with tri._solver_cache_lock:
         tri._solver_cache.clear()
-    x1 = solve_lower(l, b, method="superlu")
+    x1 = solve_lower(l, b)
     solver_first = tri._solver_cache[id(l)][2]
-    x2 = solve_lower(l, b, method="superlu")
+    x2 = solve_lower(l, b)
     assert tri._solver_cache[id(l)][2] is solver_first  # reused, not rebuilt
     assert np.array_equal(x1, x2)
     # A different factor object gets its own entry.
     l2 = _factor(40, seed=8)
-    solve_upper(l2, b, method="superlu")
+    solve_upper(l2, b)
     assert tri._solver_cache[id(l2)][2] is not solver_first
 
 
@@ -195,22 +222,22 @@ def test_cached_solver_identity_and_equivalence(rng):
     assert np.allclose(s1.solve(b), TriangularSolver(l).solve(b))
 
 
-def test_cached_solver_rebuilds_on_value_mutation(rng):
+def test_cached_solver_rebuilds_on_value_mutation(rng, monkeypatch):
     """In-place value mutation must rebuild, never return stale numerics."""
     from repro.sparse import cached_triangular_solver
 
+    monkeypatch.setattr(tri, "DEFAULT_DENSE_CUTOFF", 0)
     l = _factor(25, seed=4)
     b = rng.standard_normal(25)
     s1 = cached_triangular_solver(l)
     l.data *= 2.0
     s2 = cached_triangular_solver(l)
     assert s2 is not s1
-    x = solve_lower(l, b, method="superlu")
+    x = solve_lower(l, b)
     assert np.allclose(l @ x, b, atol=1e-9)  # solved against the NEW values
 
 
 def test_solver_cache_is_bounded():
-    from repro.sparse import triangular as tri
     from repro.sparse.triangular import SOLVER_CACHE_MAX_ENTRIES, cached_triangular_solver
 
     with tri._solver_cache_lock:
@@ -224,72 +251,16 @@ def test_solver_cache_is_bounded():
     assert id(keep[0]) not in tri._solver_cache
 
 
-def test_dense_cutoff_get_set_roundtrip():
-    from repro.sparse import get_dense_cutoff, set_dense_cutoff
-
-    original = get_dense_cutoff()
-    try:
-        assert set_dense_cutoff(7) == original
-        assert get_dense_cutoff() == 7
-        with pytest.raises(ValueError, match="cutoff"):
-            set_dense_cutoff(-1)
-        assert get_dense_cutoff() == 7  # rejected values leave state intact
-    finally:
-        set_dense_cutoff(original)
-
-
 def test_auto_backend_respects_cutoff(rng, monkeypatch):
-    """With cutoff 0 every auto solve goes through SuperLU; with a huge
-    cutoff, through dense LAPACK — observable via the solver cache."""
-    from repro.sparse import set_dense_cutoff
-    from repro.sparse import triangular as tri
-
+    """Orders up to ``DEFAULT_DENSE_CUTOFF`` solve through dense LAPACK,
+    larger ones through SuperLU — observable via the solver cache."""
     l = _factor(25, seed=9)
     b = rng.standard_normal((25, 2))
-    original = tri.get_dense_cutoff()
-    try:
-        with tri._solver_cache_lock:
-            tri._solver_cache.clear()
-        set_dense_cutoff(10_000)
-        solve_lower(l, b, method="auto")
-        assert id(l) not in tri._solver_cache  # dense path: no SuperLU built
-        set_dense_cutoff(0)
-        solve_lower(l, b, method="auto")
-        assert id(l) in tri._solver_cache  # superlu path: solver memoized
-    finally:
-        set_dense_cutoff(original)
-
-
-def test_measure_and_tune_dense_cutoff():
-    from repro.core.tuning import (
-        CrossoverPoint,
-        measure_dense_crossover,
-        pick_dense_cutoff,
-        tune_dense_cutoff,
-    )
-    from repro.sparse import get_dense_cutoff, set_dense_cutoff
-
-    points = measure_dense_crossover(sizes=(16, 64), n_rhs=2, repeats=1)
-    assert [p.n for p in points] == [16, 64]
-    assert all(p.dense_seconds > 0 and p.superlu_seconds > 0 for p in points)
-    # pick_dense_cutoff: largest dense-winning size, 0 when superlu always wins.
-    fake = [
-        CrossoverPoint(n=16, dense_seconds=1.0, superlu_seconds=2.0),
-        CrossoverPoint(n=64, dense_seconds=3.0, superlu_seconds=1.0),
-    ]
-    assert pick_dense_cutoff(fake) == 16
-    assert (
-        pick_dense_cutoff([CrossoverPoint(n=8, dense_seconds=2.0, superlu_seconds=1.0)])
-        == 0
-    )
-    # A noisy dense win above the true crossover must not drag the cutoff up.
-    noisy = fake + [CrossoverPoint(n=1024, dense_seconds=1.0, superlu_seconds=5.0)]
-    assert pick_dense_cutoff(noisy) == 16
-    original = get_dense_cutoff()
-    try:
-        measured = tune_dense_cutoff(sizes=(16, 32), n_rhs=2, repeats=1, apply=True)
-        assert get_dense_cutoff() == measured
-        assert tune_dense_cutoff(sizes=(16,), n_rhs=2, repeats=1, apply=False) >= 0
-        assert get_dense_cutoff() == measured  # apply=False leaves state alone
-    finally:
-        set_dense_cutoff(original)
+    with tri._solver_cache_lock:
+        tri._solver_cache.clear()
+    monkeypatch.setattr(tri, "DEFAULT_DENSE_CUTOFF", 25)
+    solve_lower(l, b)
+    assert id(l) not in tri._solver_cache  # dense path: no SuperLU built
+    monkeypatch.setattr(tri, "DEFAULT_DENSE_CUTOFF", 24)
+    solve_lower(l, b)
+    assert id(l) in tri._solver_cache  # superlu path: solver memoized

@@ -109,7 +109,6 @@ GATES: dict[str, Gate] = {
     "solve_iteration_parity": Gate(EQUAL),
     "solve_solution_matches": Gate(EQUAL),
     "solve_n_deflated": Gate(EQUAL),
-    "solve_lowrank_iteration_gap": Gate(LOWER),
     # host wall-clock speedups: gated, but with a wide CI-noise band
     "grouped_speedup": Gate(HIGHER, 0.50),
     "unstructured_grouped_speedup": Gate(HIGHER, 0.50),
