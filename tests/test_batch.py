@@ -67,6 +67,20 @@ def test_fingerprint_sees_pattern_changes(workload_2d):
     assert fp1.short() == fp1.key[:12]
 
 
+def test_factor_fingerprint_groups_by_pattern():
+    """Stiffness matrices that share a pattern share the key; a different
+    fill-reducing ordering of the same matrix does not."""
+    k1 = random_spd(20, 0.2, 1)
+    k2 = k1.copy()
+    k2.data = k2.data + 0.5  # same pattern
+    bt = sp.random(20, 5, density=0.3, random_state=0, format="csc")
+    a = factor_fingerprint(cholesky(k1, ordering="nd"), bt)
+    b = factor_fingerprint(cholesky(k2, ordering="nd"), bt)
+    c = factor_fingerprint(cholesky(k1, ordering="natural"), bt)
+    assert a.key == b.key
+    assert a.key != c.key
+
+
 def test_pattern_digest_validates():
     with pytest.raises(ValueError, match="sparse"):
         pattern_digest(np.eye(3))

@@ -59,6 +59,18 @@ def test_engines_agree():
     assert f1.nnz == f2.nnz
 
 
+@pytest.mark.parametrize("ordering", ORDERINGS)
+def test_engines_agree_per_ordering(ordering):
+    """Both factorizations pick the same fill-reducing permutation and
+    produce the same factor under every ordering."""
+    a = random_spd(60, density=0.08, seed=11)
+    f1 = native_cholesky(a, ordering=ordering)
+    f2 = cholesky(a, ordering=ordering)
+    assert np.array_equal(f1.perm, f2.perm)
+    assert np.allclose(f1.l.toarray(), f2.l.toarray(), atol=1e-9)
+    assert f1.nnz == f2.nnz
+
+
 def test_explicit_perm_used():
     a = random_spd(20, seed=2)
     perm = np.arange(20)[::-1].copy()

@@ -127,6 +127,13 @@ def test_cli_unknown_experiment():
         main(["run", "fig99"])
 
 
+def test_cli_solve_has_no_lowrank_rank(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--rhs", "2", "--block", "--lowrank-rank", "8"])
+    assert exc.value.code == 2
+    assert "--lowrank-rank" in capsys.readouterr().err
+
+
 def test_cli_requires_command():
     with pytest.raises(SystemExit):
         main([])

@@ -126,19 +126,22 @@ def test_dirichlet_3d(rng):
     assert np.abs(sol.u - p.solve_direct()).max() < 1e-8
 
 
-def test_lumped_preconditioned_spectrum_is_bounded_below_by_one():
-    """Every eigenvalue of the lumped-preconditioned dual operator on
-    ``null(G^T)`` is >= 1 (ill-conditioned strip-with-holes mesh, 8 rcb
-    parts): a low-rank correction that lifts eigenvalues below 1 has
-    nothing to act on (``docs/solving.md``)."""
+@pytest.mark.parametrize("preconditioner", ["lumped", "dirichlet"])
+@pytest.mark.parametrize("mesh", ["strip", "jittered"])
+def test_preconditioned_spectrum_is_bounded_below_by_one(mesh, preconditioner):
+    """Every eigenvalue of the lumped- or Dirichlet-preconditioned dual
+    operator on ``null(G^T)`` is >= 1 (the ill-conditioned strip-with-holes
+    mesh and a jittered square, 8 rcb parts each): a low-rank correction
+    that lifts eigenvalues below 1 has nothing to act on
+    (``docs/solving.md``)."""
     import scipy.linalg
 
     from repro.fem import heat_problem
     from repro.part import make_mesh
 
-    problem = heat_problem(make_mesh("strip", 16, seed=0), dirichlet=("boundary",))
+    problem = heat_problem(make_mesh(mesh, 16, seed=0), dirichlet=("boundary",))
     dec = decompose(problem, n_subdomains=8, partitioner="rcb", seed=0)
-    solver = FetiSolver(dec, approach="impl_mkl", preconditioner="lumped")
+    solver = FetiSolver(dec, approach="impl_mkl", preconditioner=preconditioner)
     solver.preprocess()
     op = solver.operator
     q = scipy.linalg.null_space(op.g.T) if op.g.shape[1] else np.eye(op.n_multipliers)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import inspect
 import pkgutil
 
 import numpy as np
@@ -15,22 +16,51 @@ def test_version():
     assert repro.__version__ == "1.0.0"
 
 
+#: Every subpackage of ``repro``; each one's ``__all__`` must resolve.
+SUBPACKAGES = [
+    info.name
+    for info in pkgutil.walk_packages(repro.__path__, prefix="repro.")
+    if info.ispkg
+]
+
+
 def test_lazy_exports_resolve():
     for name in repro.__all__:
         assert getattr(repro, name) is not None
     assert "SchurAssembler" in dir(repro)
-    # Every subpackage's re-exports resolve too: a deleted unit leaves no
-    # dangling name behind in an ``__all__``.
-    packages = [
-        info.name
-        for info in pkgutil.walk_packages(repro.__path__, prefix="repro.")
-        if info.ispkg
-    ]
-    assert "repro.feti" in packages and "repro.sparse.ordering" in packages
-    for package in packages:
-        module = importlib.import_module(package)
-        for name in module.__all__:
-            assert getattr(module, name, None) is not None, f"{package}.{name}"
+    assert "repro.feti" in SUBPACKAGES and "repro.sparse.ordering" in SUBPACKAGES
+
+
+@pytest.mark.parametrize("package", SUBPACKAGES)
+def test_subpackage_exports_resolve(package):
+    """A deleted unit leaves no dangling name behind in an ``__all__``."""
+    module = importlib.import_module(package)
+    for name in module.__all__:
+        assert getattr(module, name, None) is not None, f"{package}.{name}"
+
+
+#: Knobs the product only ever set to one value, removed along every
+#: signature that threaded them: ``module:qualified name`` -> parameter.
+REMOVED_KNOBS = [
+    ("repro.sparse:cholesky", "engine"),
+    ("repro.sparse:solve_lower", "method"),
+    ("repro.sparse:solve_upper", "method"),
+    ("repro.feti:FetiSolver", "engine"),
+    ("repro.feti:FetiSolver.solve_block", "lowrank_rank"),
+    ("repro.feti.operator:factorize_subdomain", "engine"),
+    ("repro.feti.preconditioner:interior_schur", "engine"),
+    ("repro.feti:DirichletPreconditioner", "engine"),
+    ("repro.sparse.schur_augmented:schur_augmented", "engine"),
+]
+
+
+@pytest.mark.parametrize(("target", "parameter"), REMOVED_KNOBS)
+def test_removed_knob_stays_removed(target, parameter):
+    module, qualname = target.split(":")
+    obj = importlib.import_module(module)
+    for attr in qualname.split("."):
+        obj = getattr(obj, attr)
+    assert parameter not in inspect.signature(obj).parameters
 
 
 def test_unknown_attribute():

@@ -80,6 +80,16 @@ def test_solve_vector_rhs_shape(method, rng, monkeypatch):
     assert np.allclose(l @ x, b, atol=1e-9)
 
 
+@pytest.mark.parametrize("method", BACKENDS)
+def test_solve_upper_vector_rhs_shape(method, rng, monkeypatch):
+    _, upper = _solvers(method, monkeypatch)
+    l = _factor()
+    b = rng.standard_normal(60)
+    x = upper(l, b)
+    assert x.shape == (60,)
+    assert np.allclose(l.T @ x, b, atol=1e-9)
+
+
 def test_backends_agree(rng, monkeypatch):
     l = _factor(80, seed=5)
     b = rng.standard_normal((80, 3))
@@ -87,6 +97,17 @@ def test_backends_agree(rng, monkeypatch):
     for method in ("superlu", "dense"):
         monkeypatch.setattr(tri, "DEFAULT_DENSE_CUTOFF", _CUTOFF[method])
         xs.append(solve_lower(l, b))
+    for x in xs[1:]:
+        assert np.allclose(x, xs[0], atol=1e-9)
+
+
+def test_upper_backends_agree(rng, monkeypatch):
+    l = _factor(80, seed=6)
+    b = rng.standard_normal((80, 3))
+    xs = [backward_python(l, b)]
+    for method in ("superlu", "dense"):
+        monkeypatch.setattr(tri, "DEFAULT_DENSE_CUTOFF", _CUTOFF[method])
+        xs.append(solve_upper(l, b))
     for x in xs[1:]:
         assert np.allclose(x, xs[0], atol=1e-9)
 
