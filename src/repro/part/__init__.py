@@ -14,6 +14,7 @@ from repro.part.meshes import (
     MESH_ZOO,
     boundary_nodes_from_elements,
     element_facets,
+    facet_keys,
     jittered_square_mesh,
     lshape_mesh,
     make_mesh,
@@ -37,6 +38,7 @@ __all__ = [
     "MESH_ZOO",
     "boundary_nodes_from_elements",
     "element_facets",
+    "facet_keys",
     "jittered_square_mesh",
     "lshape_mesh",
     "make_mesh",

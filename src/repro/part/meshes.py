@@ -58,12 +58,31 @@ def element_facets(elements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return facets, owners
 
 
+def facet_keys(facets: np.ndarray) -> np.ndarray:
+    """One int64 key per sorted facet row, ordered like the rows themselves.
+
+    The key is the row's index in a C-ordered ``n_nodes ** k`` array, so
+    comparing keys compares rows lexicographically and a 1-D sort or
+    ``np.unique`` replaces the row-wise one.  Raises :class:`ValueError`
+    when ``n_nodes ** k`` exceeds the int64 range (about 2.1 M nodes for
+    tetrahedral faces) instead of wrapping a key.
+    """
+    facets = np.asarray(facets)
+    span = int(facets.max()) + 1 if facets.size else 1
+    require(
+        span ** facets.shape[1] <= np.iinfo(np.int64).max,
+        f"{span} nodes ** {facets.shape[1]} facet nodes overflows an int64 facet key",
+    )
+    return np.ravel_multi_index(facets.T, (span,) * facets.shape[1])
+
+
 def boundary_nodes_from_elements(elements: np.ndarray) -> np.ndarray:
     """Sorted nodes lying on a free facet (one appearing in exactly one cell)."""
     facets, _ = element_facets(elements)
-    uniq, counts = np.unique(facets, axis=0, return_counts=True)
-    free = uniq[counts == 1]
-    return np.unique(free).astype(np.intp)
+    _, first, counts = np.unique(
+        facet_keys(facets), return_index=True, return_counts=True
+    )
+    return np.unique(facets[first[counts == 1]]).astype(np.intp)
 
 
 def _rebuild_groups(coords: np.ndarray, elements: np.ndarray) -> dict[str, np.ndarray]:
@@ -270,6 +289,7 @@ __all__ = [
     "MESH_ZOO",
     "boundary_nodes_from_elements",
     "element_facets",
+    "facet_keys",
     "jittered_square_mesh",
     "lshape_mesh",
     "make_mesh",

@@ -30,6 +30,8 @@ it end-to-end.  Everything is deterministic under a fixed *seed*.
 
 from __future__ import annotations
 
+import heapq
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,16 +56,16 @@ _SPECTRAL_MIN = 8
 
 def element_dual_graph(mesh: Mesh) -> sp.csr_matrix:
     """Symmetric adjacency of elements sharing a facet (edge in 2-D, face in 3-D)."""
-    from repro.part.meshes import element_facets
+    from repro.part.meshes import element_facets, facet_keys
 
     elements = mesh.elements
     ne = elements.shape[0]
     facets, owners = element_facets(elements)
-    _, inverse = np.unique(facets, axis=0, return_inverse=True)
-    order = np.argsort(inverse, kind="stable")
-    inv_sorted = inverse[order]
+    keys = facet_keys(facets)
+    order = np.argsort(keys, kind="stable")
+    keys_sorted = keys[order]
     own_sorted = owners[order]
-    dup = np.flatnonzero(inv_sorted[1:] == inv_sorted[:-1])
+    dup = np.flatnonzero(keys_sorted[1:] == keys_sorted[:-1])
     a, b = own_sorted[dup], own_sorted[dup + 1]
     data = np.ones(a.size, dtype=np.float64)
     adj = sp.coo_matrix((data, (a, b)), shape=(ne, ne))
@@ -230,10 +232,7 @@ def repair_connectivity(
                 if c == keep:
                     continue
                 stray = members[comp == c]
-                neighbour_owner = np.concatenate([
-                    owner[graph.indices[graph.indptr[e]:graph.indptr[e + 1]]]
-                    for e in stray
-                ])
+                neighbour_owner = owner[graph[stray].indices]
                 neighbour_owner = neighbour_owner[neighbour_owner != part]
                 if neighbour_owner.size == 0:
                     continue  # isolated island: nothing adjacent to join
@@ -269,7 +268,7 @@ def refine_partition(
 ) -> np.ndarray:
     """Greedy KL-style boundary refinement: strictly cut-reducing moves only.
 
-    Elements are visited in index order; a boundary element moves to the
+    Boundary elements are visited in index order; one moves to the
     neighbouring part with the largest *positive* gain (dual edges gained
     minus lost) provided the target stays under the balance cap
     (``ceil(ideal * (1 + imbalance))``), the source keeps at least one
@@ -277,24 +276,7 @@ def refine_partition(
     lowers the edge cut by at least one, so the refined cut is never worse
     than the input's and the sweeps terminate.
     """
-    owner = owner.copy()
-    counts = np.bincount(owner, minlength=n_parts)
-    cap = int(np.ceil(owner.size / n_parts * (1.0 + imbalance)))
-    for _ in range(max_sweeps):
-        moved = 0
-        for e in range(owner.size):
-            target = _best_move(
-                graph, owner, counts, cap, e, require_positive_gain=True
-            )
-            if target < 0:
-                continue
-            counts[owner[e]] -= 1
-            counts[target] += 1
-            owner[e] = target
-            moved += 1
-        if moved == 0:
-            break
-    return owner
+    return _frontier_sweeps(graph, owner, n_parts, imbalance, max_sweeps, rebalance=False)
 
 
 def rebalance_partition(
@@ -314,25 +296,53 @@ def rebalance_partition(
     articulation chains may stay slightly above the cap, which
     :func:`partition_mesh` reports honestly in ``balance``.
     """
+    return _frontier_sweeps(graph, owner, n_parts, imbalance, max_sweeps, rebalance=True)
+
+
+def _frontier_sweeps(
+    graph: sp.csr_matrix,
+    owner: np.ndarray,
+    n_parts: int,
+    imbalance: float,
+    max_sweeps: int,
+    rebalance: bool,
+) -> np.ndarray:
+    """Index-order sweeps of single-element moves over the partition frontier.
+
+    Only an element with a neighbour in another part can move, and that
+    changes only when the element or a neighbour moves.  So each sweep
+    starts from the boundary mask and, after a move, queues the mover's
+    not-yet-visited neighbours: it visits and moves exactly what a scan of
+    every element would.  *rebalance* only moves elements of over-full
+    parts, at a gain of any sign (see :func:`_best_move`).
+    """
     owner = owner.copy()
     counts = np.bincount(owner, minlength=n_parts)
     cap = int(np.ceil(owner.size / n_parts * (1.0 + imbalance)))
+    indptr, indices = graph.indptr, graph.indices
+    rows = np.repeat(np.arange(owner.size), np.diff(indptr))
     for _ in range(max_sweeps):
-        if not np.any(counts > cap):
+        if rebalance and not np.any(counts > cap):
             break
+        queued = np.zeros(owner.size, dtype=bool)
+        queued[rows[owner[rows] != owner[indices]]] = True
+        frontier = np.flatnonzero(queued).tolist()  # ascending: a valid heap
         moved = 0
-        for e in range(owner.size):
-            if counts[owner[e]] <= cap:
+        while frontier:
+            e = heapq.heappop(frontier)
+            if rebalance and counts[owner[e]] <= cap:
                 continue
-            target = _best_move(
-                graph, owner, counts, cap, e, require_positive_gain=False
-            )
+            target = _best_move(graph, owner, counts, cap, e, not rebalance)
             if target < 0:
                 continue
             counts[owner[e]] -= 1
             counts[target] += 1
             owner[e] = target
             moved += 1
+            for nb in indices[indptr[e]:indptr[e + 1]].tolist():
+                if nb > e and not queued[nb]:
+                    queued[nb] = True
+                    heapq.heappush(frontier, nb)
         if moved == 0:
             break
     return owner
@@ -353,25 +363,21 @@ def _best_move(
     shrinks the over-full source.  Either way the source must keep at least
     one element and stay dual-graph connected.
     """
-    own = owner[e]
-    indptr, indices = graph.indptr, graph.indices
-    neighbour_parts = owner[indices[indptr[e]:indptr[e + 1]]]
-    if counts[own] <= 1 or not np.any(neighbour_parts != own):
+    own = int(owner[e])
+    links = Counter(owner[graph.indices[graph.indptr[e]:graph.indptr[e + 1]]].tolist())
+    own_links = links.pop(own, 0)
+    if counts[own] <= 1 or not links:
         return -1
-    parts, links = np.unique(neighbour_parts, return_counts=True)
-    own_links = int(links[parts == own].sum())
     floor = 1 if require_positive_gain else -own_links
     best_gain, best_part = floor - 1, -1
-    for p, link in zip(parts, links):  # parts ascending: ties keep smallest
-        if p == own:
-            continue
+    for p in sorted(links):  # ascending: ties keep the smallest part
         if counts[p] >= cap and (
             require_positive_gain or counts[p] + 1 >= counts[own]
         ):
             continue
-        gain = int(link) - own_links
+        gain = links[p] - own_links
         if gain > best_gain:
-            best_gain, best_part = gain, int(p)
+            best_gain, best_part = gain, p
     if best_part >= 0 and not _stays_connected(graph, owner, e):
         return -1
     return best_part

@@ -6,9 +6,11 @@ variable elimination would create is represented implicitly by the element,
 and degrees are recomputed approximately (element sizes are summed without
 subtracting overlaps, which is exactly the "approximate" in AMD).
 
-The implementation favours clarity over raw speed — it is the reference
-ordering for small/medium matrices and for the leaves of nested dissection;
-large problems should use :func:`repro.sparse.ordering.nested_dissection.nd_ordering`.
+The elimination loop runs on plain Python lists and sets (indexing a NumPy
+array one scalar at a time costs more than the set work it guards).  It is
+the ordering for small/medium matrices and for the leaves of nested
+dissection; large problems should use
+:func:`repro.sparse.ordering.nested_dissection.nd_ordering`.
 """
 
 from __future__ import annotations
@@ -31,28 +33,30 @@ def amd_ordering(a: sp.spmatrix) -> np.ndarray:
     if n == 0:
         return np.arange(0, dtype=np.intp)
     acsr = a.tocsr()
+    indptr, indices = acsr.indptr.tolist(), acsr.indices.tolist()
     # Structural adjacency without the diagonal.
     adj: list[set[int]] = []
     for i in range(n):
-        row = acsr.indices[acsr.indptr[i] : acsr.indptr[i + 1]]
-        adj.append({int(j) for j in row if j != i})
+        row = set(indices[indptr[i] : indptr[i + 1]])
+        row.discard(i)
+        adj.append(row)
 
     elems: list[set[int]] = [set() for _ in range(n)]  # elements adjacent to var
     elem_nodes: dict[int, set[int]] = {}  # element id -> boundary variables
-    alive = np.ones(n, dtype=bool)
-    degree = np.fromiter((len(s) for s in adj), count=n, dtype=np.int64)
+    alive = [True] * n
+    degree = [len(s) for s in adj]
 
-    heap: list[tuple[int, int]] = [(int(degree[i]), i) for i in range(n)]
+    heap: list[tuple[int, int]] = [(d, i) for i, d in enumerate(degree)]
     heapq.heapify(heap)
-    order = np.empty(n, dtype=np.intp)
+    order: list[int] = []
 
-    for k in range(n):
+    for _ in range(n):
         # Lazy-deletion pop: skip dead or stale entries.
         while True:
             d, p = heapq.heappop(heap)
             if alive[p] and d == degree[p]:
                 break
-        order[k] = p
+        order.append(p)
         alive[p] = False
 
         # Boundary of the new element: direct neighbours plus the boundaries
@@ -85,4 +89,4 @@ def amd_ordering(a: sp.spmatrix) -> np.ndarray:
             degree[i] = d_i
             heapq.heappush(heap, (d_i, i))
 
-    return order
+    return np.asarray(order, dtype=np.intp)

@@ -165,12 +165,8 @@ def _fundamental_supernodes(parent: np.ndarray, col_counts: np.ndarray) -> np.nd
     n = parent.size
     if n == 0:
         return np.asarray([0], dtype=np.intp)
-    starts = [0]
-    for j in range(n - 1):
-        if not (parent[j] == j + 1 and col_counts[j] == col_counts[j + 1] + 1):
-            starts.append(j + 1)
-    starts.append(n)
-    return np.asarray(starts, dtype=np.intp)
+    breaks = (parent[:-1] != np.arange(1, n)) | (col_counts[:-1] != col_counts[1:] + 1)
+    return np.concatenate(([0], np.flatnonzero(breaks) + 1, [n])).astype(np.intp)
 
 
 def symbolic_from_factor(l: sp.spmatrix) -> SymbolicFactor:
@@ -204,27 +200,18 @@ def symbolic_from_pattern(
     indptr = np.asarray(indptr, dtype=np.intp)
     indices = np.asarray(indices, dtype=np.intp)
     require(indptr.shape == (n + 1,), "indptr must have n + 1 entries")
+    cols = np.repeat(np.arange(n, dtype=np.intp), np.diff(indptr))
+    below = np.flatnonzero(indices > cols)
+    rows, cols = indices[below], cols[below]
+    # The parent is the first below-diagonal entry of each column.
+    first = np.ones(cols.size, dtype=bool)
+    first[1:] = cols[1:] != cols[:-1]
     parent = np.full(n, -1, dtype=np.intp)
-    for j in range(n):
-        col = indices[indptr[j] : indptr[j + 1]]
-        below = col[col > j]
-        if below.size:
-            parent[j] = below[0]
+    parent[cols[first]] = rows[first]
     col_counts = np.asarray(np.diff(indptr), dtype=np.int64)
-
-    lr = sp.csc_matrix(
-        (np.ones(indices.size, dtype=np.float64), indices, indptr), shape=(n, n)
-    ).tocsr()
-    lr.sort_indices()
-    rows: list[np.ndarray] = []
-    indptr_list: list[int] = [0]
-    nnz_below = 0
-    for i in range(n):
-        cols = lr.indices[lr.indptr[i] : lr.indptr[i + 1]]
-        patt = np.asarray(cols[cols < i], dtype=np.intp)
-        rows.append(patt)
-        nnz_below += patt.size
-        indptr_list.append(nnz_below)
+    by_row = np.lexsort((cols, rows))
+    row_indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=n), out=row_indptr[1:])
 
     return SymbolicFactor(
         n=n,
@@ -232,8 +219,8 @@ def symbolic_from_pattern(
         col_counts=col_counts,
         nnz_l=int(col_counts.sum()),
         flops=cholesky_flops(col_counts),
-        row_indptr=np.asarray(indptr_list, dtype=np.intp),
-        row_indices=np.concatenate(rows) if rows else np.empty(0, dtype=np.intp),
+        row_indptr=row_indptr,
+        row_indices=cols[by_row],
         supernodes=_fundamental_supernodes(parent, col_counts),
     )
 
@@ -243,16 +230,11 @@ def factor_pattern_csc(sym: SymbolicFactor) -> sp.csc_matrix:
     if sym.row_indptr is None or sym.row_indices is None:
         raise ValueError("symbolic factor was computed without the full pattern")
     n = sym.n
-    rows = []
-    cols = []
-    for i in range(n):
-        patt = sym.row(i)
-        rows.append(np.full(patt.size + 1, i, dtype=np.intp))
-        cols.append(np.append(patt, i))
-    rows_arr = np.concatenate(rows) if rows else np.empty(0, dtype=np.intp)
-    cols_arr = np.concatenate(cols) if cols else np.empty(0, dtype=np.intp)
-    data = np.ones(rows_arr.size, dtype=np.float64)
-    return sp.csc_matrix((data, (rows_arr, cols_arr)), shape=(n, n))
+    # Row i of the lower CSR is its below-diagonal pattern, then i itself.
+    indices = np.insert(sym.row_indices, sym.row_indptr[1:], np.arange(n))
+    indptr = sym.row_indptr + np.arange(n + 1)
+    data = np.ones(indices.size, dtype=np.float64)
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n)).tocsc()
 
 
 __all__ = [
